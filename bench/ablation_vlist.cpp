@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.str().c_str());
   std::printf(
       "Expected shape: per pair the dense form costs ~2 m^2 flops and the\n"
-      "diagonal form ~8 N_fft^3; with N_fft = next_pow2(2n-1) they are\n"
-      "comparable at n = 4..6 and the FFT form wins decisively at n = 8\n"
-      "(high accuracy), which is the regime the paper's KIFMM targets.\n");
+      "diagonal form ~8 N^2 (N/2+1) on the Hermitian half spectrum, with\n"
+      "N = next_pow2(2n-1); they are comparable at n = 4..6 and the FFT\n"
+      "form wins decisively at n = 8 (high accuracy), which is the regime\n"
+      "the paper's KIFMM targets.\n");
   return 0;
 }

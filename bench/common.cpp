@@ -9,6 +9,7 @@
 #include "obs/aggregate.hpp"
 #include "obs/hw.hpp"
 #include "obs/trend.hpp"
+#include "util/timer.hpp"
 
 namespace pkifmm::bench {
 
@@ -319,7 +320,7 @@ std::vector<double> Experiment::phase_times(const std::string& prefix) const {
   std::vector<double> out;
   out.reserve(reports.size());
   for (const auto& rep : reports) {
-    const double cpu = sum_prefix(rep.cpu_phases, prefix);
+    const double cpu = sum_phase_prefix(rep.cpu_phases, prefix);
     const auto c = counters_prefix(rep.cost, prefix);
     out.push_back(cpu + model.comm_time(c));
   }
@@ -330,7 +331,7 @@ std::vector<double> Experiment::phase_cpu(const std::string& prefix) const {
   std::vector<double> out;
   out.reserve(reports.size());
   for (const auto& rep : reports)
-    out.push_back(sum_prefix(rep.cpu_phases, prefix));
+    out.push_back(sum_phase_prefix(rep.cpu_phases, prefix));
   return out;
 }
 

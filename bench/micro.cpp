@@ -90,6 +90,27 @@ void BM_Fft3d(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft3d)->Arg(8)->Arg(16);
 
+void BM_Fft3dRealPruned(benchmark::State& state) {
+  // The V-list transform pair: r2c of an s^3 support cube, c2r back to
+  // it (args: grid N, support s = the surface order that maps to N).
+  const std::size_t n = state.range(0);
+  const std::size_t s = state.range(1);
+  fft::Fft3d plan(n);
+  Rng rng(3);
+  std::vector<double> cube(s * s * s);
+  for (auto& v : cube) v = rng.uniform();
+  std::vector<fft::Complex> half(plan.half_volume()), line(n);
+  for (auto _ : state) {
+    plan.forward_r2c(cube, s, half, line);
+    plan.inverse_c2r(half, s, cube, line);
+    benchmark::DoNotOptimize(cube.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (plan.r2c_flops(s) + plan.c2r_flops(s)));
+}
+BENCHMARK(BM_Fft3dRealPruned)->Args({8, 4})->Args({16, 6});
+
 void BM_LaGemmAcc(benchmark::State& state) {
   // One surface-operator application batched over nb octant columns
   // (n=6 surfaces have m=152 points; Laplace operators are 152x152).

@@ -19,6 +19,7 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 using namespace pkifmm;
 
@@ -128,9 +129,8 @@ int main(int argc, char** argv) {
   auto row = [&](const char* name, const char* prefix) {
     std::vector<double> t, f;
     for (const auto& rep : reports) {
-      double ct = 0, cf = 0;
-      for (const auto& [ph, v] : rep.cpu_phases)
-        if (ph.rfind(prefix, 0) == 0) ct += v;
+      const double ct = sum_phase_prefix(rep.cpu_phases, prefix);
+      double cf = 0;
       for (const auto& [ph, v] : rep.flop_phases)
         if (ph.rfind(prefix, 0) == 0) cf += double(v);
       t.push_back(ct);

@@ -54,9 +54,10 @@ class Reader {
   template <Pod T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    PKIFMM_CHECK_MSG(pos_ + n * sizeof(T) <= data_.size(), "payload underrun");
+    PKIFMM_CHECK_MSG(n <= (data_.size() - pos_) / sizeof(T),
+                     "payload underrun");
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
@@ -73,7 +74,9 @@ class Reader {
 template <Pod T>
 Bytes to_bytes(std::span<const T> v) {
   Bytes out(v.size() * sizeof(T));
-  std::memcpy(out.data(), v.data(), out.size());
+  // memcpy with a null pointer is undefined even for size 0, and empty
+  // spans/vectors may hold one.
+  if (!out.empty()) std::memcpy(out.data(), v.data(), out.size());
   return out;
 }
 
@@ -82,7 +85,7 @@ template <Pod T>
 std::vector<T> from_bytes(std::span<const std::byte> b) {
   PKIFMM_CHECK(b.size() % sizeof(T) == 0);
   std::vector<T> v(b.size() / sizeof(T));
-  std::memcpy(v.data(), b.data(), b.size());
+  if (!b.empty()) std::memcpy(v.data(), b.data(), b.size());
   return v;
 }
 

@@ -72,6 +72,12 @@ Evaluator::Evaluator(const Tables& tables, const octree::Let& let,
     pool_ = owned_pool_.get();
   }
   lane_surf_.resize(std::size_t(pool_->lanes()) * 3 * surf_.count());
+  if (tables_.options().m2l == M2lMode::kFft) {
+    const std::size_t lanes = pool_->lanes();
+    const std::size_t s = tables_.n();
+    lane_spec_.resize(lanes * (tables_.spectrum_len() + tables_.fft_n()));
+    lane_cube_.resize(lanes * s * s * s);
+  }
 }
 
 Evaluator::~Evaluator() {
@@ -232,10 +238,7 @@ void Evaluator::run_dag() {
   const std::size_t clen = tables_.check_len();
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
-  const int m = tables_.m();
   const std::size_t nn = let_.nodes.size();
-  const std::size_t vol = tables_.fft_volume();
-  static constexpr std::size_t kFreqChunk = 16;  // as in vli_fft_batched
 
   // Model flops per phase: GEMM/MAC amounts are known while building
   // ("planned"); kernel-direct and FFT amounts are summed by the chunk
@@ -265,13 +268,6 @@ void Evaluator::run_dag() {
                                       {"eval.wli"},
                                       {"eval.d2t"}}};
 
-  // One operator component applied to entries [e0, e1) of fidx/aidx
-  // (identical to vli_fft_batched's RunGroup).
-  struct RunGroup {
-    const fft::Complex* g;
-    std::size_t e0, e1;
-  };
-
   // Per-level graph handles and buffers. Everything a task lambda
   // touches lives here or in the Evaluator, so it outlives every task
   // (all tasks complete before run_dag returns).
@@ -288,12 +284,8 @@ void Evaluator::run_dag() {
     std::vector<double> s2u_tmp;
     std::vector<double> gin, gout;     ///< level-local gather/GEMM buffers
     std::vector<std::int32_t> xnodes;  ///< targets with X-work
-    // FFT V-list state (layout as in vli_fft_batched).
-    std::vector<std::int32_t> vtgt, vsrc;
-    std::size_t n_local_src = 0;  ///< vsrc[0, n) are never ghost-written
-    std::vector<fft::Complex> spectra, acc;
-    std::vector<RunGroup> groups;
-    std::vector<std::int32_t> fidx, aidx;
+    VliLevel vli;                 ///< FFT V-list state
+    std::size_t n_local_src = 0;  ///< vli.src[0, n) are never ghost-written
   };
   std::vector<LevelDag> lv(static_cast<std::size_t>(std::max(max_level_, -1) + 1));
 
@@ -459,47 +451,33 @@ void Evaluator::run_dag() {
 
     // --- V-list ---
     if (use_fft) {
-      PKIFMM_CHECK(vol % kFreqChunk == 0);
-      const std::size_t nchunks = vol / kFreqChunk;
-      lane_line_.assign(std::size_t(pool_->lanes()) * vol, fft::Complex(0, 0));
+      const std::size_t len = tables_.spectrum_len();
+      PKIFMM_CHECK(len % kFreqChunk == 0);
+      const std::size_t nchunks = len / kFreqChunk;
       slot_of_.assign(nn, -1);
-      std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
       for (int level = min_level_; level <= max_level_; ++level) {
         LevelDag& L = lv[level];
-        std::vector<std::int32_t> srcs;  // first-reference order
-        for (auto i : level_nodes_[level]) {
-          if (!let_.nodes[i].target) continue;
-          const auto list = let_.v.of(i);
-          if (list.empty()) continue;
-          L.vtgt.push_back(i);
-          for (auto si : list)
-            if (slot_of_[si] < 0) {
-              slot_of_[si] = 0;
-              srcs.push_back(si);
-            }
-        }
-        if (L.vtgt.empty()) continue;
+        VliLevel& V = L.vli;
+        vli_collect(level, V);
+        if (V.tgt.empty()) continue;
         // Local (never ghost-written) slots first so the ghost-gated
         // forward-FFT chunks cover a contiguous tail. Determinism-safe:
-        // the pair sort below orders on (offset, target) which is
-        // unique per pair, so slot renumbering cannot reorder MACs.
-        for (auto si : srcs)
-          if (!shared_node[si]) L.vsrc.push_back(si);
-        L.n_local_src = L.vsrc.size();
-        for (auto si : srcs)
-          if (shared_node[si]) L.vsrc.push_back(si);
-        for (std::size_t sl = 0; sl < L.vsrc.size(); ++sl)
-          slot_of_[L.vsrc[sl]] = static_cast<std::int32_t>(sl);
+        // vli_plan orders on (offset, target), unique per pair, so slot
+        // renumbering cannot reorder MACs.
+        const auto shared_tail =
+            std::stable_partition(V.src.begin(), V.src.end(),
+                                  [&](std::int32_t si) { return !shared_node[si]; });
+        L.n_local_src = static_cast<std::size_t>(shared_tail - V.src.begin());
+        for (std::size_t sl = 0; sl < V.src.size(); ++sl)
+          slot_of_[V.src[sl]] = static_cast<std::int32_t>(sl);
 
-        const std::size_t nsrc = L.vsrc.size();
-        const std::size_t ntgt = L.vtgt.size();
-        const std::size_t nsc = nsrc * sd;
-        const std::size_t ntc = ntgt * td;
-        L.spectra.assign(nsc * vol, fft::Complex(0, 0));
-        L.acc.assign(ntc * vol, fft::Complex(0, 0));
-        scratch_bytes +=
-            static_cast<double>((nsc + ntc) * vol) * sizeof(fft::Complex);
-        LevelDag* Lp = &L;
+        const std::size_t nsrc = V.src.size();
+        const std::size_t ntgt = V.tgt.size();
+        V.spectra.resize(nsrc * sd * len);
+        V.acc.assign(ntgt * td * len, fft::Complex(0, 0));
+        scratch_bytes += static_cast<double>((nsrc * sd + ntgt * td) * len) *
+                         sizeof(fft::Complex);
+        VliLevel* Vp = &V;
 
         // Forward FFTs: chunks of local slots release on up_final
         // alone; chunks touching shared slots additionally wait for
@@ -508,34 +486,9 @@ void Evaluator::run_dag() {
         const NodeId fwd_done = graph.event("eval.vli");
         for (std::size_t b = 0; b < nsrc; b += kFftSlotGrain) {
           const std::size_t e = std::min(nsrc, b + kFftSlotGrain);
-          const NodeId t = graph.node(
-              "eval.vli",
-              [this, Lp, b, e, sd, m, vol, elen, nchunks, &phf](int lane) {
-                const auto& embed = tables_.embed_index();
-                const std::span<fft::Complex> line(
-                    lane_line_.data() + std::size_t(lane) * vol, vol);
-                const std::size_t nsc2 = Lp->vsrc.size() * std::size_t(sd);
-                std::uint64_t local = 0;
-                for (std::size_t sl = b; sl < e; ++sl) {
-                  const double* usrc =
-                      u_.data() + std::size_t(Lp->vsrc[sl]) * elen;
-                  for (int c = 0; c < sd; ++c) {
-                    std::fill(line.begin(), line.end(), fft::Complex(0, 0));
-                    for (int k = 0; k < m; ++k)
-                      line[embed[k]] = usrc[k * sd + c];
-                    tables_.fft().forward(line);
-                    const std::size_t comp = sl * sd + c;
-                    for (std::size_t fc = 0; fc < nchunks; ++fc) {
-                      fft::Complex* dst =
-                          Lp->spectra.data() + (fc * nsc2 + comp) * kFreqChunk;
-                      const fft::Complex* sp = line.data() + fc * kFreqChunk;
-                      for (std::size_t q = 0; q < kFreqChunk; ++q)
-                        dst[q] = sp[q];
-                    }
-                  }
-                  local += sd * tables_.fft().transform_flops();
-                }
-                phf[kPhVli].counted.fetch_add(local,
+          const NodeId t =
+              graph.node("eval.vli", [this, Vp, b, e, &phf](int lane) {
+                phf[kPhVli].counted.fetch_add(vli_forward(*Vp, b, e, lane),
                                               std::memory_order_relaxed);
               });
           graph.edge(L.up_final, t);
@@ -543,97 +496,28 @@ void Evaluator::run_dag() {
           graph.edge(t, fwd_done);
         }
 
-        // (target, source) pairs sorted by offset; operator fetches are
-        // sequential here at build time (the m2l spectra cache is lazy
-        // and not thread-safe).
-        pairs.clear();
-        for (std::size_t bj = 0; bj < ntgt; ++bj) {
-          const std::int32_t i = L.vtgt[bj];
-          const LetNode& node = let_.nodes[i];
-          for (auto si : let_.v.of(i))
-            pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
-                               static_cast<std::int32_t>(bj), slot_of_[si]);
-        }
-        std::sort(pairs.begin(), pairs.end());
-        for (std::size_t r0 = 0; r0 < pairs.size();) {
-          const int off = std::get<0>(pairs[r0]);
-          std::size_t r1 = r0;
-          while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
-          const std::size_t run = r1 - r0;
-          const auto g = tables_.m2l_spectra(level, off);
-          for (int ti = 0; ti < td; ++ti)
-            for (int sc = 0; sc < sd; ++sc) {
-              const std::size_t e0 = L.fidx.size();
-              for (std::size_t p = 0; p < run; ++p) {
-                const auto& pr = pairs[r0 + p];
-                L.fidx.push_back(std::get<2>(pr) * sd + sc);
-                L.aidx.push_back(std::get<1>(pr) * td + ti);
-              }
-              L.groups.push_back({g.data() + std::size_t(ti * sd + sc) * vol,
-                                  e0, L.fidx.size()});
-            }
-          phf[kPhVli].planned += 8ull * td * sd * vol * run;
-          r0 = r1;
-        }
+        // Operator fetches run here at build time, sequentially.
+        phf[kPhVli].planned += vli_plan(level, V);
 
         // Frequency-chunk MACs, then per-target inverse transforms.
         const NodeId mac_done = graph.event("eval.vli");
         for (std::size_t cb = 0; cb < nchunks; cb += kFreqChunkGrain) {
           const std::size_t ce = std::min(nchunks, cb + kFreqChunkGrain);
-          const NodeId t = graph.node("eval.vli", [Lp, cb, ce, sd, td](int) {
-            const std::size_t nsc2 = Lp->vsrc.size() * std::size_t(sd);
-            const std::size_t ntc2 = Lp->vtgt.size() * std::size_t(td);
-            const std::span<const std::int32_t> fidx_all(Lp->fidx);
-            const std::span<const std::int32_t> aidx_all(Lp->aidx);
-            for (std::size_t fc = cb; fc < ce; ++fc) {
-              const fft::Complex* fb =
-                  Lp->spectra.data() + fc * nsc2 * kFreqChunk;
-              fft::Complex* ab = Lp->acc.data() + fc * ntc2 * kFreqChunk;
-              const std::size_t q0 = fc * kFreqChunk;
-              for (const RunGroup& grp : Lp->groups)
-                fft::pointwise_mac_chunked(
-                    grp.g + q0, kFreqChunk, fb, ab,
-                    fidx_all.subspan(grp.e0, grp.e1 - grp.e0),
-                    aidx_all.subspan(grp.e0, grp.e1 - grp.e0));
-            }
-          });
+          const NodeId t = graph.node(
+              "eval.vli", [this, Vp, cb, ce](int) { vli_mac(*Vp, cb, ce); });
           graph.edge(fwd_done, t);
           graph.edge(t, mac_done);
         }
 
-        const LevelOps ops = tables_.at(level);
-        const double m2l_scale = ops.m2l_scale;
+        const double m2l_scale = tables_.at(level).m2l_scale;
         const NodeId extract_done = graph.event("eval.vli");
         for (std::size_t b = 0; b < ntgt; b += kFftSlotGrain) {
           const std::size_t e = std::min(ntgt, b + kFftSlotGrain);
           const NodeId t = graph.node(
-              "eval.vli", [this, Lp, b, e, td, m, vol, clen, nchunks,
-                           m2l_scale, &phf](int lane) {
-                const auto& embed = tables_.embed_index();
-                const std::span<fft::Complex> line(
-                    lane_line_.data() + std::size_t(lane) * vol, vol);
-                const std::size_t ntc2 = Lp->vtgt.size() * std::size_t(td);
-                std::uint64_t local = 0;
-                for (std::size_t bj = b; bj < e; ++bj) {
-                  double* out =
-                      checkpot_.data() + std::size_t(Lp->vtgt[bj]) * clen;
-                  for (int ti = 0; ti < td; ++ti) {
-                    const std::size_t comp = bj * td + ti;
-                    for (std::size_t fc = 0; fc < nchunks; ++fc) {
-                      const fft::Complex* sp =
-                          Lp->acc.data() + (fc * ntc2 + comp) * kFreqChunk;
-                      fft::Complex* dst = line.data() + fc * kFreqChunk;
-                      for (std::size_t q = 0; q < kFreqChunk; ++q)
-                        dst[q] = sp[q];
-                    }
-                    tables_.fft().inverse(line);
-                    for (int k = 0; k < m; ++k)
-                      out[k * td + ti] += m2l_scale * line[embed[k]].real();
-                  }
-                  local += td * tables_.fft().transform_flops();
-                }
-                phf[kPhVli].counted.fetch_add(local,
-                                              std::memory_order_relaxed);
+              "eval.vli", [this, Vp, b, e, m2l_scale, &phf](int lane) {
+                phf[kPhVli].counted.fetch_add(
+                    vli_inverse(*Vp, b, e, m2l_scale, lane),
+                    std::memory_order_relaxed);
               });
           graph.edge(mac_done, t);
           graph.edge(t, extract_done);
@@ -641,13 +525,13 @@ void Evaluator::run_dag() {
         // Free the level's volumes once consumed: per-level footprints
         // decay geometrically with depth, but releasing early keeps
         // several levels in flight cheap.
-        const NodeId freed = graph.node("eval.vli", [Lp](int) {
-          std::vector<fft::Complex>().swap(Lp->spectra);
-          std::vector<fft::Complex>().swap(Lp->acc);
+        const NodeId freed = graph.node("eval.vli", [Vp](int) {
+          std::vector<fft::Complex>().swap(Vp->spectra);
+          std::vector<fft::Complex>().swap(Vp->acc);
         });
         graph.edge(extract_done, freed);
         L.vli_done = extract_done;
-        for (auto si : L.vsrc) slot_of_[si] = -1;  // reset for next level
+        for (auto si : V.src) slot_of_[si] = -1;  // reset for next level
       }
     } else {
       // Dense M2L: one chained gemm_stage per (level, offset) run,
@@ -933,7 +817,7 @@ void Evaluator::run_dag() {
   scratch_bytes += cap(uwin) + cap(uwout) + cap(dwin) + cap(dwout);
   for (const LevelDag& L : lv)
     scratch_bytes += cap(L.gin) + cap(L.gout) + cap(L.s2u_tmp) +
-                     cap(L.fidx) + cap(L.aidx);
+                     cap(L.vli.fidx) + cap(L.vli.aidx);
   ctx_.rec.gauge_set("mem.eval.dag_scratch_bytes", scratch_bytes);
 }
 
@@ -954,11 +838,12 @@ void Evaluator::publish_mem_gauges() {
   rec.gauge_set("mem.eval.surface_bytes",
                 static_cast<double>(surf_.bytes()) + cap(surf_scratch_));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
-                cap(lane_surf_) + cap(lane_line_));
+                cap(lane_surf_) + cap(lane_spec_) + cap(lane_cube_));
   rec.gauge_set("mem.eval.batch_bytes",
                 cap(batch_in_) + cap(batch_out_) + cap(batch_tmp_) +
                     cap(slots_a_) + cap(slots_b_) + cap(slot_of_));
-  rec.gauge_set("mem.eval.fft_chunk_bytes", cap(spectra_) + cap(fft_acc_));
+  rec.gauge_set("mem.eval.fft_chunk_bytes",
+                cap(vli_.spectra) + cap(vli_.acc));
 }
 
 namespace {
@@ -1295,272 +1180,265 @@ void Evaluator::vli_dense_batched() {
   }
 }
 
-void Evaluator::vli_fft_scalar() {
-  // FFT-diagonal translation, batched by level so per-octant spectra are
-  // kept only for the level being processed.
-  const int sd = tables_.sdim();
-  const int td = tables_.tdim();
-  const std::size_t vol = tables_.fft_volume();
-  const auto& embed = tables_.embed_index();
-  const int m = tables_.m();
+namespace {
 
-  std::vector<fft::Complex> acc(static_cast<std::size_t>(td) * vol);
-  for (int level = min_level_; level <= max_level_; ++level) {
-    // Sources used by some target's V-list at this level.
-    std::unordered_map<std::int32_t, std::vector<fft::Complex>> spectra;
-    for (auto i : level_nodes_[level]) {
-      if (!let_.nodes[i].target) continue;
-      for (auto si : let_.v.of(i)) spectra.try_emplace(si);
-    }
-    if (spectra.empty()) continue;
+/// Wall and rank-thread CPU time of one V-list sub-stage, summed over
+/// levels and published once per evaluate() (no per-level spans: every
+/// recorded span is re-gathered by each later obs.gather).
+struct StageClock {
+  double wall = 0.0, cpu = 0.0;
+  template <class F>
+  void run(F&& f) {
+    const Timer t;
+    const double c0 = thread_cpu_seconds();
+    f();
+    wall += t.seconds();
+    cpu += thread_cpu_seconds() - c0;
+  }
+};
 
-    // Per-octant forward FFTs of the padded equivalent densities.
-    for (auto& [si, spec] : spectra) {
-      spec.assign(static_cast<std::size_t>(sd) * vol, fft::Complex(0, 0));
-      const double* usrc = u_.data() + std::size_t(si) * tables_.eq_len();
-      for (int k = 0; k < m; ++k)
-        for (int c = 0; c < sd; ++c)
-          spec[static_cast<std::size_t>(c) * vol + embed[k]] =
-              usrc[k * sd + c];
-      for (int c = 0; c < sd; ++c)
-        tables_.fft().forward(
-            std::span<fft::Complex>(spec.data() + std::size_t(c) * vol, vol));
-      ctx_.flops.add("eval.vli", sd * tables_.fft().transform_flops());
-    }
+void publish_vli_stages(PhaseTimer& timer, const StageClock& fwd,
+                        const StageClock& mac, const StageClock& inv) {
+  timer.add("eval.vli.fwd", fwd.wall, fwd.cpu);
+  timer.add("eval.vli.mac", mac.wall, mac.cpu);
+  timer.add("eval.vli.inv", inv.wall, inv.cpu);
+}
 
-    // Diagonal translation + inverse FFT per target.
-    const LevelOps ops = tables_.at(level);
-    for (auto i : level_nodes_[level]) {
-      const LetNode& node = let_.nodes[i];
-      if (!node.target) continue;
-      const auto list = let_.v.of(i);
-      if (list.empty()) continue;
+}  // namespace
 
-      std::fill(acc.begin(), acc.end(), fft::Complex(0, 0));
-      for (auto si : list) {
-        const auto g = tables_.m2l_spectra(
-            level, pair_offset_index(node, let_.nodes[si]));
-        const auto& spec = spectra.at(si);
-        for (int ti = 0; ti < td; ++ti)
-          for (int si_c = 0; si_c < sd; ++si_c)
-            fft::pointwise_mac(
-                g.subspan(std::size_t(ti * sd + si_c) * vol, vol),
-                std::span<const fft::Complex>(
-                    spec.data() + std::size_t(si_c) * vol, vol),
-                std::span<fft::Complex>(acc.data() + std::size_t(ti) * vol,
-                                        vol));
-        ctx_.flops.add("eval.vli", 8ull * td * sd * vol);
+void Evaluator::vli_collect(int level, VliLevel& L) {
+  L.tgt.clear();
+  L.src.clear();
+  for (auto i : level_nodes_[level]) {
+    if (!let_.nodes[i].target) continue;
+    const auto list = let_.v.of(i);
+    if (list.empty()) continue;
+    L.tgt.push_back(i);
+    for (auto si : list)
+      if (slot_of_[si] < 0) {
+        slot_of_[si] = static_cast<std::int32_t>(L.src.size());
+        L.src.push_back(si);
       }
-      for (int ti = 0; ti < td; ++ti)
-        tables_.fft().inverse(
-            std::span<fft::Complex>(acc.data() + std::size_t(ti) * vol, vol));
-      ctx_.flops.add("eval.vli", td * tables_.fft().transform_flops());
-
-      double* out = checkpot_.data() + std::size_t(i) * tables_.check_len();
-      for (int k = 0; k < m; ++k)
-        for (int ti = 0; ti < td; ++ti)
-          out[k * td + ti] +=
-              ops.m2l_scale *
-              acc[static_cast<std::size_t>(ti) * vol + embed[k]].real();
-    }
   }
 }
 
-
-void Evaluator::vli_fft_batched() {
-  // Same math as the scalar FFT path with three structural changes:
-  //  - spectra live in ONE flat buffer indexed by level-sorted source
-  //    slots (slot_of_) instead of an unordered_map of vectors,
-  //  - (target, source) pairs are sorted by translation-offset index so
-  //    each m2l_spectra operator is fetched once per run,
-  //  - spectra and accumulators are stored CHUNK-MAJOR (all slots'
-  //    values for one kFreqChunk-frequency chunk contiguous) and the
-  //    diagonal multiply sweeps the frequency axis in the outer loop:
-  //    each chunk's working set (one chunk of every live slot) fits L2,
-  //    so the MAC is compute-bound instead of re-streaming full 3-D
-  //    volumes from memory for every pair.
-  // Flop accounting is per-source/per-pair/per-target exactly as in the
-  // scalar path, so totals are identical.
+std::uint64_t Evaluator::vli_plan(int level, VliLevel& L) {
   const int sd = tables_.sdim();
   const int td = tables_.tdim();
-  const std::size_t vol = tables_.fft_volume();
-  const auto& embed = tables_.embed_index();
-  const int m = tables_.m();
-  const std::size_t elen = tables_.eq_len();
-  const std::size_t clen = tables_.check_len();
-
-  // Chunk-major addressing: value (slot_comp, q) lives at
-  // buf[(q / kFreqChunk) * ncomp * kFreqChunk + slot_comp * kFreqChunk
-  //     + q % kFreqChunk].
-  constexpr std::size_t kFreqChunk = 16;
-  PKIFMM_CHECK(vol % kFreqChunk == 0);
-  const std::size_t nchunks = vol / kFreqChunk;
-
-  slot_of_.assign(let_.nodes.size(), -1);
-
+  const std::size_t len = tables_.spectrum_len();
+  // All (target, source) pairs of the level, sorted by offset index;
+  // the sort key is unique per pair, so the MAC order is independent
+  // of the slot numbering.
   std::vector<std::tuple<int, std::int32_t, std::int32_t>> pairs;
-  // A run group applies one td x sd component of one offset's spectrum
-  // to entries [e0, e1) of the flat fidx/aidx arrays.
-  struct RunGroup {
-    const fft::Complex* g;
-    std::size_t e0, e1;
-  };
-  std::vector<RunGroup> groups;
-  std::vector<std::int32_t> fidx, aidx;
-  // One embed/extract-order volume per pool lane: the forward and
-  // inverse transform chunks each use their executing lane's line.
-  lane_line_.assign(std::size_t(pool_->lanes()) * vol, fft::Complex(0, 0));
-
-  for (int level = min_level_; level <= max_level_; ++level) {
-    // Targets with V-interactions at this level, and the flat slot
-    // index of the unique sources they reference.
-    slots_b_.clear();  // target node indices
-    slots_a_.clear();  // source node index per slot
-    for (auto i : level_nodes_[level]) {
-      if (!let_.nodes[i].target) continue;
-      const auto list = let_.v.of(i);
-      if (list.empty()) continue;
-      slots_b_.push_back(i);
-      for (auto si : list)
-        if (slot_of_[si] < 0) {
-          slot_of_[si] = static_cast<std::int32_t>(slots_a_.size());
-          slots_a_.push_back(si);
-        }
-    }
-    if (slots_b_.empty()) continue;
-
-    const std::size_t nsrc = slots_a_.size();
-    const std::size_t ntgt = slots_b_.size();
-    const std::size_t nsc = nsrc * sd;  // source slot components
-    const std::size_t ntc = ntgt * td;  // target slot components
-
-    // Forward FFT of each unique source's padded equivalent densities
-    // into a contiguous volume, scattered to chunk-major slots. Each
-    // chunk of slots owns disjoint spectra_ components.
-    spectra_.resize(nsc * vol);
-    std::atomic<std::uint64_t> fwd_flops{0};
-    pool_->parallel_for(
-        nsrc, kFftSlotGrain,
-        [&](std::size_t b, std::size_t e, int lane) {
-          const std::span<fft::Complex> line(
-              lane_line_.data() + std::size_t(lane) * vol, vol);
-          std::uint64_t local = 0;
-          for (std::size_t sl = b; sl < e; ++sl) {
-            const double* usrc = u_.data() + std::size_t(slots_a_[sl]) * elen;
-            for (int c = 0; c < sd; ++c) {
-              std::fill(line.begin(), line.end(), fft::Complex(0, 0));
-              for (int k = 0; k < m; ++k) line[embed[k]] = usrc[k * sd + c];
-              tables_.fft().forward(line);
-              const std::size_t comp = sl * sd + c;
-              for (std::size_t ci = 0; ci < nchunks; ++ci) {
-                fft::Complex* dst =
-                    spectra_.data() + (ci * nsc + comp) * kFreqChunk;
-                const fft::Complex* src = line.data() + ci * kFreqChunk;
-                for (std::size_t q = 0; q < kFreqChunk; ++q) dst[q] = src[q];
-              }
-            }
-            local += sd * tables_.fft().transform_flops();
-          }
-          fwd_flops.fetch_add(local, std::memory_order_relaxed);
-        },
-        "eval.vli");
-    ctx_.flops.add("eval.vli", fwd_flops.load(std::memory_order_relaxed));
-
-    // All (target, source) pairs of the level, sorted by offset index.
-    pairs.clear();
-    for (std::size_t bj = 0; bj < ntgt; ++bj) {
-      const std::int32_t i = slots_b_[bj];
-      const LetNode& node = let_.nodes[i];
-      for (auto si : let_.v.of(i))
-        pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
-                           static_cast<std::int32_t>(bj), slot_of_[si]);
-    }
-    std::sort(pairs.begin(), pairs.end());
-
-    // One operator fetch per offset run; each td x sd component of a
-    // run becomes an entry group sharing one spectrum component.
-    groups.clear();
-    fidx.clear();
-    aidx.clear();
-    for (std::size_t r0 = 0; r0 < pairs.size();) {
-      const int off = std::get<0>(pairs[r0]);
-      std::size_t r1 = r0;
-      while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
-      const std::size_t run = r1 - r0;
-      const auto g = tables_.m2l_spectra(level, off);
-      for (int ti = 0; ti < td; ++ti)
-        for (int sc = 0; sc < sd; ++sc) {
-          const std::size_t e0 = fidx.size();
-          for (std::size_t p = 0; p < run; ++p) {
-            const auto& pr = pairs[r0 + p];
-            fidx.push_back(std::get<2>(pr) * sd + sc);
-            aidx.push_back(std::get<1>(pr) * td + ti);
-          }
-          groups.push_back(
-              {g.data() + std::size_t(ti * sd + sc) * vol, e0, fidx.size()});
-        }
-      ctx_.flops.add("eval.vli", 8ull * td * sd * vol * run);
-      r0 = r1;
-    }
-
-    // Chunk-major diagonal-translation sweep. The operator slices are
-    // read straight from the volume-major m2l table (a contiguous
-    // kFreqChunk window per group per chunk).
-    fft_acc_.assign(ntc * vol, fft::Complex(0, 0));
-    const std::span<const std::int32_t> fidx_all(fidx);
-    const std::span<const std::int32_t> aidx_all(aidx);
-    // Frequency chunks write disjoint fft_acc_ windows, so the chunk
-    // axis parallelizes with no change to per-element MAC order.
-    pool_->parallel_for(
-        nchunks, kFreqChunkGrain,
-        [&](std::size_t cb, std::size_t ce, int) {
-          for (std::size_t ci = cb; ci < ce; ++ci) {
-            const fft::Complex* fb = spectra_.data() + ci * nsc * kFreqChunk;
-            fft::Complex* ab = fft_acc_.data() + ci * ntc * kFreqChunk;
-            const std::size_t q0 = ci * kFreqChunk;
-            for (const RunGroup& grp : groups)
-              fft::pointwise_mac_chunked(
-                  grp.g + q0, kFreqChunk, fb, ab,
-                  fidx_all.subspan(grp.e0, grp.e1 - grp.e0),
-                  aidx_all.subspan(grp.e0, grp.e1 - grp.e0));
-          }
-        },
-        "eval.vli");
-
-    // Per-target gather back to volume order, inverse transform, and
-    // surface extraction; each chunk of targets owns disjoint
-    // checkpot_ rows.
-    const LevelOps ops = tables_.at(level);
-    std::atomic<std::uint64_t> inv_flops{0};
-    pool_->parallel_for(
-        ntgt, kFftSlotGrain,
-        [&](std::size_t b, std::size_t e, int lane) {
-          const std::span<fft::Complex> line(
-              lane_line_.data() + std::size_t(lane) * vol, vol);
-          std::uint64_t local = 0;
-          for (std::size_t bj = b; bj < e; ++bj) {
-            double* out = checkpot_.data() + std::size_t(slots_b_[bj]) * clen;
-            for (int ti = 0; ti < td; ++ti) {
-              const std::size_t comp = bj * td + ti;
-              for (std::size_t ci = 0; ci < nchunks; ++ci) {
-                const fft::Complex* src =
-                    fft_acc_.data() + (ci * ntc + comp) * kFreqChunk;
-                fft::Complex* dst = line.data() + ci * kFreqChunk;
-                for (std::size_t q = 0; q < kFreqChunk; ++q) dst[q] = src[q];
-              }
-              tables_.fft().inverse(line);
-              for (int k = 0; k < m; ++k)
-                out[k * td + ti] += ops.m2l_scale * line[embed[k]].real();
-            }
-            local += td * tables_.fft().transform_flops();
-          }
-          inv_flops.fetch_add(local, std::memory_order_relaxed);
-        },
-        "eval.vli");
-    ctx_.flops.add("eval.vli", inv_flops.load(std::memory_order_relaxed));
-
-    for (auto si : slots_a_) slot_of_[si] = -1;  // reset for next level
+  for (std::size_t bj = 0; bj < L.tgt.size(); ++bj) {
+    const LetNode& node = let_.nodes[L.tgt[bj]];
+    for (auto si : let_.v.of(L.tgt[bj]))
+      pairs.emplace_back(pair_offset_index(node, let_.nodes[si]),
+                         static_cast<std::int32_t>(bj), slot_of_[si]);
   }
+  std::sort(pairs.begin(), pairs.end());
+
+  // One operator fetch per offset run; each td x sd component of a run
+  // becomes an entry group sharing one spectrum component.
+  L.groups.clear();
+  L.fidx.clear();
+  L.aidx.clear();
+  for (std::size_t r0 = 0; r0 < pairs.size();) {
+    const int off = std::get<0>(pairs[r0]);
+    std::size_t r1 = r0;
+    while (r1 < pairs.size() && std::get<0>(pairs[r1]) == off) ++r1;
+    const auto g = tables_.m2l_spectra(level, off);
+    for (int ti = 0; ti < td; ++ti)
+      for (int sc = 0; sc < sd; ++sc) {
+        const std::size_t e0 = L.fidx.size();
+        for (std::size_t p = r0; p < r1; ++p) {
+          L.fidx.push_back(std::get<2>(pairs[p]) * sd + sc);
+          L.aidx.push_back(std::get<1>(pairs[p]) * td + ti);
+        }
+        L.groups.push_back(
+            {g.data() + std::size_t(ti * sd + sc) * len, e0, L.fidx.size()});
+      }
+    r0 = r1;
+  }
+  return 8ull * td * sd * len * pairs.size();
+}
+
+std::uint64_t Evaluator::vli_forward(VliLevel& L, std::size_t b,
+                                     std::size_t e, int lane) {
+  const int sd = tables_.sdim();
+  const int m = tables_.m();
+  const std::size_t s = tables_.n();
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t elen = tables_.eq_len();
+  const std::size_t ncomp = L.src.size() * sd;
+  const auto& embed = tables_.embed_index();
+  const std::span<double> cube(lane_cube_.data() + lane * s * s * s,
+                               s * s * s);
+  fft::Complex* spec = lane_spec_.data() + lane * (len + tables_.fft_n());
+  const std::span<fft::Complex> line(spec + len, tables_.fft_n());
+  for (std::size_t sl = b; sl < e; ++sl) {
+    const double* usrc = u_.data() + std::size_t(L.src[sl]) * elen;
+    for (int c = 0; c < sd; ++c) {
+      std::fill(cube.begin(), cube.end(), 0.0);
+      for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k * sd + c];
+      tables_.fft().forward_r2c(cube, s, {spec, len}, line);
+      const std::size_t comp = sl * sd + c;
+      for (std::size_t q = 0; q < len; q += kFreqChunk)
+        std::copy_n(spec + q, kFreqChunk,
+                    L.spectra.data() + q * ncomp + comp * kFreqChunk);
+    }
+  }
+  return (e - b) * sd * tables_.fft().r2c_flops(s);
+}
+
+void Evaluator::vli_mac(VliLevel& L, std::size_t cb, std::size_t ce) const {
+  const std::size_t nsc = L.src.size() * tables_.sdim();
+  const std::size_t ntc = L.tgt.size() * tables_.tdim();
+  const std::span<const std::int32_t> fidx(L.fidx), aidx(L.aidx);
+  for (std::size_t ci = cb; ci < ce; ++ci) {
+    const fft::Complex* fb = L.spectra.data() + ci * nsc * kFreqChunk;
+    fft::Complex* ab = L.acc.data() + ci * ntc * kFreqChunk;
+    for (const VliLevel::RunGroup& grp : L.groups)
+      fft::pointwise_mac_chunked(grp.g + ci * kFreqChunk, kFreqChunk, fb, ab,
+                                 fidx.subspan(grp.e0, grp.e1 - grp.e0),
+                                 aidx.subspan(grp.e0, grp.e1 - grp.e0));
+  }
+}
+
+std::uint64_t Evaluator::vli_inverse(const VliLevel& L, std::size_t b,
+                                     std::size_t e, double scale, int lane) {
+  const int td = tables_.tdim();
+  const int m = tables_.m();
+  const std::size_t s = tables_.n();
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t clen = tables_.check_len();
+  const std::size_t ncomp = L.tgt.size() * td;
+  const auto& embed = tables_.embed_index();
+  const std::span<double> cube(lane_cube_.data() + lane * s * s * s,
+                               s * s * s);
+  fft::Complex* spec = lane_spec_.data() + lane * (len + tables_.fft_n());
+  const std::span<fft::Complex> line(spec + len, tables_.fft_n());
+  for (std::size_t bj = b; bj < e; ++bj) {
+    double* out = checkpot_.data() + std::size_t(L.tgt[bj]) * clen;
+    for (int ti = 0; ti < td; ++ti) {
+      const std::size_t comp = bj * td + ti;
+      for (std::size_t q = 0; q < len; q += kFreqChunk)
+        std::copy_n(L.acc.data() + q * ncomp + comp * kFreqChunk, kFreqChunk,
+                    spec + q);
+      tables_.fft().inverse_c2r({spec, len}, s, cube, line);
+      for (int k = 0; k < m; ++k) out[k * td + ti] += scale * cube[embed[k]];
+    }
+  }
+  return (e - b) * td * tables_.fft().c2r_flops(s);
+}
+
+void Evaluator::vli_fft_scalar() {
+  // Per-pair reference: the batched engine's transforms, but one plain
+  // MAC per (target, source) pair in V-list order, all on the rank
+  // thread (lane 0).
+  const int sd = tables_.sdim();
+  const int td = tables_.tdim();
+  const std::size_t len = tables_.spectrum_len();
+  VliLevel& L = vli_;
+  StageClock fwd, mac, inv;
+  slot_of_.assign(let_.nodes.size(), -1);
+  for (int level = min_level_; level <= max_level_; ++level) {
+    vli_collect(level, L);
+    if (L.tgt.empty()) continue;
+    const std::size_t nsc = L.src.size() * sd;
+    const std::size_t ntc = L.tgt.size() * td;
+
+    fwd.run([&] {
+      L.spectra.resize(nsc * len);
+      ctx_.flops.add("eval.vli", vli_forward(L, 0, L.src.size(), 0));
+    });
+
+    mac.run([&] {
+      L.acc.assign(ntc * len, fft::Complex(0, 0));
+      for (std::size_t bj = 0; bj < L.tgt.size(); ++bj) {
+        const LetNode& node = let_.nodes[L.tgt[bj]];
+        for (auto si : let_.v.of(L.tgt[bj])) {
+          const auto g = tables_.m2l_spectra(
+              level, pair_offset_index(node, let_.nodes[si]));
+          for (int ti = 0; ti < td; ++ti)
+            for (int sc = 0; sc < sd; ++sc) {
+              const fft::Complex* gc = g.data() + std::size_t(ti * sd + sc) * len;
+              const std::size_t f = std::size_t(slot_of_[si]) * sd + sc;
+              const std::size_t a = bj * td + ti;
+              for (std::size_t q = 0; q < len; q += kFreqChunk)
+                fft::pointwise_mac(
+                    {gc + q, kFreqChunk},
+                    {L.spectra.data() + q * nsc + f * kFreqChunk, kFreqChunk},
+                    {L.acc.data() + q * ntc + a * kFreqChunk, kFreqChunk});
+            }
+          ctx_.flops.add("eval.vli", 8ull * td * sd * len);
+        }
+      }
+    });
+
+    inv.run([&] {
+      ctx_.flops.add("eval.vli", vli_inverse(L, 0, L.tgt.size(),
+                                             tables_.at(level).m2l_scale, 0));
+    });
+    for (auto si : L.src) slot_of_[si] = -1;  // reset for next level
+  }
+  publish_vli_stages(ctx_.timer, fwd, mac, inv);
+}
+
+void Evaluator::vli_fft_batched() {
+  // Offset-sorted, chunk-major diagonal translation (see VliLevel):
+  // one flat spectra buffer per level indexed by source slot, each
+  // m2l_spectra operator fetched once per offset run, and the MAC
+  // parallelized over disjoint frequency chunks. Forward and inverse
+  // transforms run in kFftSlotGrain slot chunks, each on its lane's
+  // scratch. Flop accounting matches the scalar path.
+  const std::size_t len = tables_.spectrum_len();
+  PKIFMM_CHECK(len % kFreqChunk == 0);
+  const std::size_t nchunks = len / kFreqChunk;
+  VliLevel& L = vli_;
+  StageClock fwd, mac, inv;
+  slot_of_.assign(let_.nodes.size(), -1);
+  for (int level = min_level_; level <= max_level_; ++level) {
+    vli_collect(level, L);
+    if (L.tgt.empty()) continue;
+
+    fwd.run([&] {
+      L.spectra.resize(L.src.size() * tables_.sdim() * len);
+      std::atomic<std::uint64_t> flops{0};
+      pool_->parallel_for(
+          L.src.size(), kFftSlotGrain,
+          [&](std::size_t b, std::size_t e, int lane) {
+            flops.fetch_add(vli_forward(L, b, e, lane),
+                            std::memory_order_relaxed);
+          },
+          "eval.vli");
+      ctx_.flops.add("eval.vli", flops.load(std::memory_order_relaxed));
+    });
+
+    mac.run([&] {
+      ctx_.flops.add("eval.vli", vli_plan(level, L));
+      L.acc.assign(L.tgt.size() * tables_.tdim() * len, fft::Complex(0, 0));
+      pool_->parallel_for(
+          nchunks, kFreqChunkGrain,
+          [&](std::size_t cb, std::size_t ce, int) { vli_mac(L, cb, ce); },
+          "eval.vli");
+    });
+
+    inv.run([&] {
+      const double scale = tables_.at(level).m2l_scale;
+      std::atomic<std::uint64_t> flops{0};
+      pool_->parallel_for(
+          L.tgt.size(), kFftSlotGrain,
+          [&](std::size_t b, std::size_t e, int lane) {
+            flops.fetch_add(vli_inverse(L, b, e, scale, lane),
+                            std::memory_order_relaxed);
+          },
+          "eval.vli");
+      ctx_.flops.add("eval.vli", flops.load(std::memory_order_relaxed));
+    });
+    for (auto si : L.src) slot_of_[si] = -1;  // reset for next level
+  }
+  publish_vli_stages(ctx_.timer, fwd, mac, inv);
 }
 
 void Evaluator::xli(bool include_leaves) {
@@ -1828,7 +1706,10 @@ std::vector<double> leaf_work_estimates(const Tables& tables,
                                         const octree::Let& let) {
   const std::uint64_t kflops = tables.kernel().flops_per_interaction();
   const int m = tables.m();
-  const double tf = static_cast<double>(tables.fft().transform_flops());
+  const double fwd_flops =
+      static_cast<double>(tables.fft().r2c_flops(tables.n()));
+  const double inv_flops =
+      static_cast<double>(tables.fft().c2r_flops(tables.n()));
 
   // Source counts per node (targets and sources may differ per point).
   std::vector<double> nsrc(let.nodes.size(), 0.0);
@@ -1843,7 +1724,7 @@ std::vector<double> leaf_work_estimates(const Tables& tables,
     const double ntrg = node.target_count;
     double w = 0.0;
     for (auto si : let.u.of(i)) w += ntrg * nsrc[si] * kflops;
-    // V: per-pair diagonal multiply on the padded grid, plus one
+    // V: per-pair diagonal multiply on the half spectrum, plus one
     // inverse FFT on the target side and one forward FFT on the source
     // side. The forward-FFT charge is deliberately a function of the
     // leaf alone (not of how many targets consume its spectrum): the
@@ -1852,9 +1733,10 @@ std::vector<double> leaf_work_estimates(const Tables& tables,
     // the global tree — the incremental setup path maintains that
     // partition step by step and relies on reproducing it exactly.
     const auto vlist = let.v.of(i);
-    w += double(vlist.size()) * 8.0 * tables.fft_volume() *
+    w += double(vlist.size()) * 8.0 * tables.spectrum_len() *
          tables.sdim() * tables.tdim();
-    if (!vlist.empty()) w += (tables.tdim() + tables.sdim()) * tf;
+    if (!vlist.empty())
+      w += tables.tdim() * inv_flops + tables.sdim() * fwd_flops;
     w += double(let.w.of(i).size()) * ntrg * m * kflops;
     for (auto si : let.x.of(i)) w += nsrc[si] * m * kflops;
     // S2U + D2T per-leaf work.

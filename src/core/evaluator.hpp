@@ -164,6 +164,50 @@ class Evaluator {
   void uli_join();
   void uli_chunk(std::size_t b, std::size_t e, int lane);
 
+  /// One level's FFT V-list work, shared by the scalar, bulk and DAG
+  /// engines. `src` maps source slots to nodes, `tgt` lists the targets
+  /// with V-work. Spectra and accumulators hold Hermitian half spectra
+  /// (Tables::spectrum_len() values per component) CHUNK-MAJOR: the
+  /// value of component `comp` at frequency q lives at
+  /// buf[((q / kFreqChunk) * ncomp + comp) * kFreqChunk + q % kFreqChunk]
+  /// with ncomp = src.size()*sdim (spectra) or tgt.size()*tdim (acc),
+  /// so a sweep with the chunk loop outside the pair loop touches one
+  /// chunk of every live slot at a time (an L2-resident MAC).
+  struct VliLevel {
+    /// One operator component applied to entries [e0, e1) of fidx/aidx.
+    struct RunGroup {
+      const fft::Complex* g;
+      std::size_t e0, e1;
+    };
+    std::vector<std::int32_t> tgt, src;
+    std::vector<fft::Complex> spectra, acc;
+    std::vector<RunGroup> groups;
+    std::vector<std::int32_t> fidx, aidx;
+  };
+  static constexpr std::size_t kFreqChunk = 16;  ///< frequencies per chunk
+
+  /// Fills L.tgt and L.src (first-reference order) for `level` and sets
+  /// slot_of_[L.src[s]] = s; the caller resets slot_of_ to -1 when done
+  /// with the level (and re-assigns it if it reorders L.src).
+  void vli_collect(int level, VliLevel& L);
+  /// Sorts the level's (target, source) pairs by offset into one MAC
+  /// entry group per (offset, ti, si) component, using slot_of_.
+  /// Returns the MAC's model flops.
+  std::uint64_t vli_plan(int level, VliLevel& L);
+  /// Forward transform of source slots [b, e): embed each density
+  /// component into the support cube, r2c it on this lane's scratch,
+  /// and scatter it chunk-major into L.spectra. Returns model flops.
+  std::uint64_t vli_forward(VliLevel& L, std::size_t b, std::size_t e,
+                            int lane);
+  /// Diagonal translation of frequency chunks [cb, ce): L.acc +=
+  /// g * L.spectra over every entry group.
+  void vli_mac(VliLevel& L, std::size_t cb, std::size_t ce) const;
+  /// Inverse transform of targets [b, e): gather each accumulator
+  /// component from L.acc, c2r it on this lane's scratch, and add
+  /// scale times its surface values into checkpot_. Returns model flops.
+  std::uint64_t vli_inverse(const VliLevel& L, std::size_t b, std::size_t e,
+                            double scale, int lane);
+
   /// One gemm_acc over `ncols` batch columns, split into disjoint
   /// column windows over the pool (bitwise identical to the unsplit
   /// call; see la::gemm_acc_cols).
@@ -205,7 +249,7 @@ class Evaluator {
   // Batch scratch, reused across phases/levels (kept allocated).
   std::vector<double> batch_in_, batch_out_, batch_tmp_;
   std::vector<std::int32_t> slots_a_, slots_b_;
-  std::vector<fft::Complex> spectra_, fft_acc_;
+  VliLevel vli_;                            ///< bulk/scalar V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
 
   // Intra-rank scheduling. pool_ is ctx.pool when the Runtime provided
@@ -219,7 +263,10 @@ class Evaluator {
   std::unique_ptr<util::TaskPool> owned_pool_;
   util::TaskPool* pool_ = nullptr;
   std::vector<double> lane_surf_;        ///< lanes x 3*surf count
-  std::vector<fft::Complex> lane_line_;  ///< lanes x fft volume
+  // FFT V-list lane scratch: lanes x (half spectrum + one FFT line)
+  // and lanes x support cube (n^3 reals).
+  std::vector<fft::Complex> lane_spec_;
+  std::vector<double> lane_cube_;
 
   // Background-ULI state (see uli_start/uli_join).
   std::vector<double> f_uli_;            ///< ULI-only potentials

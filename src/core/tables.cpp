@@ -82,11 +82,12 @@ Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
       fft::next_pow2(2 * static_cast<std::size_t>(opts.surface_n) - 1);
   fft_ = std::make_shared<fft::Fft3d>(grid);
 
+  const std::size_t n = opts.surface_n;
   const auto& lattice = surface_lattice(opts.surface_n);
   embed_.reserve(lattice.size());
   for (const auto& ijk : lattice)
     embed_.push_back(static_cast<int>(
-        (static_cast<std::size_t>(ijk[2]) * grid + ijk[1]) * grid + ijk[0]));
+        (static_cast<std::size_t>(ijk[2]) * n + ijk[1]) * n + ijk[0]));
 
   // Eagerly build the reference level so concurrent ranks never race on
   // the most commonly used entry.
@@ -163,12 +164,13 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
   const double box = 2.0 * half;
 
   const std::size_t grid = fft_n();
-  const std::size_t vol = fft_volume();
-  std::vector<fft::Complex> out(static_cast<std::size_t>(tdim_) * sdim_ * vol,
-                                fft::Complex(0, 0));
+  const std::size_t vol = grid * grid * grid;
+  const int ncomp = tdim_ * sdim_;
+  std::vector<double> kern(static_cast<std::size_t>(ncomp) * vol, 0.0);
 
   // K(t_phys + d*h) for lattice displacements d in [-(n-1), n-1]^3,
-  // wrapped circularly into the N^3 grid.
+  // wrapped circularly into the N^3 grid (which it fills, so the real
+  // transform runs with full support).
   double blk[9];
   for (int ddz = -(n - 1); ddz <= n - 1; ++ddz)
     for (int ddy = -(n - 1); ddy <= n - 1; ++ddy)
@@ -180,12 +182,17 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
         const std::size_t iy = (ddy + grid) % grid;
         const std::size_t iz = (ddz + grid) % grid;
         const std::size_t cell = (iz * grid + iy) * grid + ix;
-        for (int c = 0; c < tdim_ * sdim_; ++c)
-          out[c * vol + cell] = blk[c];
+        for (int c = 0; c < ncomp; ++c) kern[c * vol + cell] = blk[c];
       }
 
-  for (int c = 0; c < tdim_ * sdim_; ++c)
-    fft_->forward(std::span<fft::Complex>(out.data() + c * vol, vol));
+  const std::size_t len = spectrum_len();
+  std::vector<fft::Complex> out(static_cast<std::size_t>(ncomp) * len);
+  std::vector<fft::Complex> line(grid);
+  for (int c = 0; c < ncomp; ++c)
+    fft_->forward_r2c(std::span<const double>(kern.data() + c * vol, vol),
+                      grid,
+                      std::span<fft::Complex>(out.data() + c * len, len),
+                      line);
   return out;
 }
 
@@ -218,7 +225,8 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
 
 namespace {
 
-constexpr std::uint64_t kCacheMagic = 0x706b69666d6d5442ull;  // "pkifmmTB"
+// "pkifmmTC": the "...TB" format held full c2c spectra.
+constexpr std::uint64_t kCacheMagic = 0x706b69666d6d5443ull;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {
@@ -322,15 +330,22 @@ bool Tables::load_cache(const std::string& path) {
       if (!get_matrix(is, m)) return false;
     levels.emplace(level, std::move(t));
   }
+  // Every spectrum must be a V-list offset of exactly the length the
+  // MAC indexes, or m2l_spectra would hand out a short span.
+  const std::uint64_t want =
+      static_cast<std::uint64_t>(tdim_) * sdim_ * spectrum_len();
   std::map<std::pair<int, int>, std::vector<fft::Complex>> spectra;
   std::uint64_t nspec = 0;
   if (!get(is, nspec) || nspec > (1u << 20)) return false;
   for (std::uint64_t i = 0; i < nspec; ++i) {
     std::int32_t level = 0, off = 0;
     std::uint64_t count = 0;
-    if (!get(is, level) || !get(is, off) || !get(is, count) ||
-        count > (1u << 24))
+    if (!get(is, level) || !get(is, off) || !get(is, count) || count != want)
       return false;
+    if (off < 0 || off >= 7 * 7 * 7) return false;  // offset_index range
+    int dx, dy, dz;
+    decode_offset(off, dx, dy, dz);
+    if (!is_vlist_offset(dx, dy, dz)) return false;
     std::vector<fft::Complex> spec(count);
     is.read(reinterpret_cast<char*>(spec.data()),
             std::streamsize(count * sizeof(fft::Complex)));

@@ -77,19 +77,23 @@ class Tables {
 
   /// FFT grid edge N (power of two >= 2n-1) and plan.
   std::size_t fft_n() const { return fft_->n(); }
-  std::size_t fft_volume() const { return fft_->volume(); }
   const fft::Fft3d& fft() const { return *fft_; }
+  /// Complex elements of one V-list half spectrum, N*N*(N/2+1).
+  std::size_t spectrum_len() const { return fft_->half_volume(); }
 
-  /// Volume index of each surface lattice point in the N^3 FFT grid.
+  /// Index of each surface lattice point in the n^3 support cube that
+  /// Fft3d::forward_r2c reads and Fft3d::inverse_c2r writes (the corner
+  /// [0, n)^3 of the N^3 grid).
   const std::vector<int>& embed_index() const { return embed_; }
 
   /// Level-scaled operator set. Thread-safe.
   LevelOps at(int level) const;
 
-  /// FFT M2L: the td*sd spectra for a given offset index, concatenated
-  /// component-major (component c = ti*sdim+si occupies
-  /// [c*fft_volume(), (c+1)*fft_volume())). Unscaled reference values;
-  /// multiply the *output* by LevelOps::m2l_scale. Thread-safe (lazy).
+  /// FFT M2L: the td*sd Hermitian half spectra (Fft3d layout) for a
+  /// given offset index, concatenated component-major (component
+  /// c = ti*sdim+si occupies [c*spectrum_len(), (c+1)*spectrum_len())).
+  /// Unscaled reference values; multiply the *output* by
+  /// LevelOps::m2l_scale. Thread-safe (lazy).
   std::span<const fft::Complex> m2l_spectra(int level, int off_index) const;
 
   /// Dense M2L matrix for an offset (ablation path). Thread-safe (lazy).
@@ -102,8 +106,10 @@ class Tables {
   std::size_t save_cache(const std::string& path) const;
 
   /// Loads a cache written by save_cache. Returns false — leaving the
-  /// in-memory cache untouched — if the file is missing, corrupt, or
-  /// belongs to a different kernel/geometry. Thread-safe.
+  /// in-memory cache untouched — if the file is missing, corrupt, of an
+  /// older format, belongs to a different kernel/geometry, or holds a
+  /// spectrum that is not a V-list offset or not exactly
+  /// tdim*sdim*spectrum_len() long. Thread-safe.
   bool load_cache(const std::string& path);
 
  private:

@@ -1,6 +1,7 @@
 #include "fft/fft.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -54,7 +55,9 @@ void fft_inplace(std::span<Complex> a, bool inverse) {
 }
 
 Fft3d::Fft3d(std::size_t n) : n_(n) {
-  PKIFMM_CHECK_MSG(is_pow2(n), "Fft3d size must be a power of two, got " << n);
+  PKIFMM_CHECK_MSG(is_pow2(n) && n <= kMaxN,
+                   "Fft3d size must be a power of two <= " << kMaxN
+                                                           << ", got " << n);
   log2n_ = std::countr_zero(n);
 
   // Twiddle table, one block of len/2 factors per butterfly stage
@@ -111,7 +114,8 @@ void Fft3d::line_fft(Complex* a, bool inverse) const {
 void Fft3d::transform(std::span<Complex> vol, bool inverse) const {
   PKIFMM_CHECK(vol.size() == volume());
   const std::size_t n = n_;
-  std::vector<Complex> line(n);
+  std::array<Complex, kMaxN> line_buf;
+  Complex* line = line_buf.data();
 
   // x-lines are contiguous.
   for (std::size_t z = 0; z < n; ++z)
@@ -122,7 +126,7 @@ void Fft3d::transform(std::span<Complex> vol, bool inverse) const {
   for (std::size_t z = 0; z < n; ++z)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t y = 0; y < n; ++y) line[y] = vol[(z * n + y) * n + x];
-      line_fft(line.data(), inverse);
+      line_fft(line, inverse);
       for (std::size_t y = 0; y < n; ++y) vol[(z * n + y) * n + x] = line[y];
     }
 
@@ -130,7 +134,7 @@ void Fft3d::transform(std::span<Complex> vol, bool inverse) const {
   for (std::size_t y = 0; y < n; ++y)
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t z = 0; z < n; ++z) line[z] = vol[(z * n + y) * n + x];
-      line_fft(line.data(), inverse);
+      line_fft(line, inverse);
       for (std::size_t z = 0; z < n; ++z) vol[(z * n + y) * n + x] = line[z];
     }
 }
@@ -143,6 +147,128 @@ std::uint64_t Fft3d::transform_flops() const {
   // 3 passes of n^2 one-dimensional transforms, 5 n log2 n flops each.
   const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
   return 3ull * n_ * n_ * one_d;
+}
+
+void Fft3d::forward_r2c(std::span<const double> in, std::size_t s,
+                        std::span<Complex> out,
+                        std::span<Complex> line) const {
+  const std::size_t n = n_, hx = n / 2 + 1;
+  PKIFMM_CHECK(s >= 1 && s <= n && in.size() == s * s * s &&
+               out.size() == half_volume() && line.size() == n);
+  Complex* ln = line.data();
+  auto at = [&](std::size_t z, std::size_t y, std::size_t kx) -> Complex& {
+    return out[(z * n + y) * hx + kx];
+  };
+
+  // x pass: the s^2 real support lines, two per complex FFT
+  // (z = a + i b). With Z = FFT(z):  A(k) = (Z(k) + conj Z(-k)) / 2 and
+  // B(k) = (Z(k) - conj Z(-k)) / 2i. An odd last line pairs with zero.
+  const std::size_t nl = s * s;
+  for (std::size_t l = 0; l < nl; l += 2) {
+    const bool pair = l + 1 < nl;
+    const double* a = in.data() + l * s;
+    for (std::size_t x = 0; x < s; ++x)
+      ln[x] = Complex(a[x], pair ? a[s + x] : 0.0);
+    std::fill(ln + s, ln + n, Complex(0, 0));
+    line_fft(ln, false);
+    Complex* oa = &at(l / s, l % s, 0);
+    Complex* ob = pair ? &at((l + 1) / s, (l + 1) % s, 0) : nullptr;
+    for (std::size_t k = 0; k < hx; ++k) {
+      const Complex zk = ln[k], zm = ln[(n - k) & (n - 1)];
+      oa[k] = Complex(0.5 * (zk.real() + zm.real()),
+                      0.5 * (zk.imag() - zm.imag()));
+      if (ob)
+        ob[k] = Complex(0.5 * (zk.imag() + zm.imag()),
+                        0.5 * (zm.real() - zk.real()));
+    }
+  }
+
+  // y pass: only the s z-planes that hold data, each line zero past s.
+  for (std::size_t z = 0; z < s; ++z)
+    for (std::size_t kx = 0; kx < hx; ++kx) {
+      for (std::size_t y = 0; y < s; ++y) ln[y] = at(z, y, kx);
+      std::fill(ln + s, ln + n, Complex(0, 0));
+      line_fft(ln, false);
+      for (std::size_t ky = 0; ky < n; ++ky) at(z, ky, kx) = ln[ky];
+    }
+
+  // z pass: every (ky, kx) line, zero past s.
+  for (std::size_t ky = 0; ky < n; ++ky)
+    for (std::size_t kx = 0; kx < hx; ++kx) {
+      for (std::size_t z = 0; z < s; ++z) ln[z] = at(z, ky, kx);
+      std::fill(ln + s, ln + n, Complex(0, 0));
+      line_fft(ln, false);
+      for (std::size_t kz = 0; kz < n; ++kz) at(kz, ky, kx) = ln[kz];
+    }
+}
+
+void Fft3d::inverse_c2r(std::span<Complex> spec, std::size_t s,
+                        std::span<double> out,
+                        std::span<Complex> line) const {
+  const std::size_t n = n_, hx = n / 2 + 1;
+  PKIFMM_CHECK(s >= 1 && s <= n && spec.size() == half_volume() &&
+               out.size() == s * s * s && line.size() == n);
+  Complex* ln = line.data();
+  auto at = [&](std::size_t z, std::size_t y, std::size_t kx) -> Complex& {
+    return spec[(z * n + y) * hx + kx];
+  };
+
+  // z pass: every (ky, kx) line; keep only z < s.
+  for (std::size_t ky = 0; ky < n; ++ky)
+    for (std::size_t kx = 0; kx < hx; ++kx) {
+      for (std::size_t kz = 0; kz < n; ++kz) ln[kz] = at(kz, ky, kx);
+      line_fft(ln, true);
+      for (std::size_t z = 0; z < s; ++z) at(z, ky, kx) = ln[z];
+    }
+
+  // y pass: the s kept z-planes; keep only y < s.
+  for (std::size_t z = 0; z < s; ++z)
+    for (std::size_t kx = 0; kx < hx; ++kx) {
+      for (std::size_t ky = 0; ky < n; ++ky) ln[ky] = at(z, ky, kx);
+      line_fft(ln, true);
+      for (std::size_t y = 0; y < s; ++y) at(z, y, kx) = ln[y];
+    }
+
+  // x pass: two Hermitian half lines A, B become Z = A + iB over the
+  // full line (Z(-k) = conj A(k) + i conj B(k)); the inverse FFT's real
+  // and imaginary parts are the two real lines. The DC and Nyquist bins
+  // of a real line are real, so only their real parts enter.
+  const std::size_t nl = s * s;
+  for (std::size_t l = 0; l < nl; l += 2) {
+    const bool pair = l + 1 < nl;
+    const Complex* a = &at(l / s, l % s, 0);
+    const Complex* b = pair ? &at((l + 1) / s, (l + 1) % s, 0) : nullptr;
+    for (std::size_t k = 0; k < hx; ++k) {
+      const double ar = a[k].real(), ai = a[k].imag();
+      const double br = b ? b[k].real() : 0.0, bi = b ? b[k].imag() : 0.0;
+      if (k == 0 || k == n / 2) {
+        ln[k] = Complex(ar, br);
+      } else {
+        ln[k] = Complex(ar - bi, ai + br);
+        ln[n - k] = Complex(ar + bi, br - ai);
+      }
+    }
+    line_fft(ln, true);
+    double* oa = out.data() + l * s;
+    for (std::size_t x = 0; x < s; ++x) oa[x] = ln[x].real();
+    if (pair)
+      for (std::size_t x = 0; x < s; ++x) oa[s + x] = ln[x].imag();
+  }
+}
+
+std::uint64_t Fft3d::real_lines(std::size_t s) const {
+  const std::uint64_t hx = n_ / 2 + 1;
+  return (s * s + 1) / 2 + (s + n_) * hx;
+}
+
+std::uint64_t Fft3d::r2c_flops(std::size_t s) const {
+  const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
+  return real_lines(s) * one_d + (s * s + 1) / 2 * 8ull * (n_ / 2 + 1);
+}
+
+std::uint64_t Fft3d::c2r_flops(std::size_t s) const {
+  const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
+  return real_lines(s) * one_d + (s * s + 1) / 2 * 4ull * (n_ / 2 + 1);
 }
 
 std::size_t next_pow2(std::size_t x) {

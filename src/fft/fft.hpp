@@ -1,6 +1,7 @@
 #pragma once
 /// \file fft.hpp
-/// \brief Radix-2 FFTs and 3-D circular convolution.
+/// \brief Radix-2 FFTs (complex and pruned real 3-D) and 3-D circular
+/// convolution.
 ///
 /// The paper's V-list translation is diagonalized by FFT: equivalent
 /// densities live on the surface points of a regular lattice, so the
@@ -11,6 +12,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,29 +24,73 @@ using Complex = std::complex<double>;
 /// transform including the 1/n normalization.
 void fft_inplace(std::span<Complex> a, bool inverse);
 
-/// Plan-like object for n x n x n complex transforms (n a power of two).
-/// Precomputes twiddle factors; forward/inverse operate in place on a
-/// volume stored as v[(z*n + y)*n + x].
+/// Plan-like object for n x n x n transforms (n a power of two, at most
+/// Fft3d::kMaxN). Precomputes twiddle factors.
+///
+/// Two transform pairs share the plan:
+///  - complex-to-complex forward/inverse, in place on a full volume
+///    stored as v[(z*n + y)*n + x];
+///  - the pruned real pair forward_r2c/inverse_c2r used by the V-list.
+///    A real volume that is zero outside the corner support cube
+///    [0, s)^3 is passed as that s^3 cube (c[(z*s + y)*s + x]); its
+///    spectrum is kept as the Hermitian half h[(kz*n + ky)*hx + kx]
+///    with hx = n/2 + 1 (the other kx follow from X(-k) = conj X(k)).
+///    forward_r2c runs only the lines that can be nonzero; inverse_c2r
+///    runs only the lines whose outputs land in the support cube.
 ///
 /// Thread-safety contract: after construction a plan is immutable —
-/// forward/inverse only read the twiddle/bit-reversal tables and write
-/// the caller's volume. core::Evaluator relies on this to run FFT slots
-/// on util::TaskPool lanes concurrently against ONE shared plan (each
-/// lane transforming its own scratch volume).
+/// every transform only reads the twiddle/bit-reversal tables and
+/// writes the caller's buffers. core::Evaluator relies on this to run
+/// FFT slots on util::TaskPool lanes concurrently against ONE shared
+/// plan (each lane transforming its own scratch).
 class Fft3d {
  public:
+  /// Largest supported edge; bounds the c2c transform's stack line.
+  static constexpr std::size_t kMaxN = 1024;
+
   explicit Fft3d(std::size_t n);
 
   std::size_t n() const { return n_; }
   std::size_t volume() const { return n_ * n_ * n_; }
+  /// Complex elements of a Hermitian half spectrum: n * n * (n/2 + 1).
+  std::size_t half_volume() const { return n_ * n_ * (n_ / 2 + 1); }
 
   void forward(std::span<Complex> vol) const;
   /// Inverse including the 1/n^3 normalization.
   void inverse(std::span<Complex> vol) const;
 
-  /// Flops of one 3-D transform (5 n log2 n per 1-D transform, the
+  /// Flops of one 3-D c2c transform (5 n log2 n per 1-D transform, the
   /// standard complex-FFT flop model).
   std::uint64_t transform_flops() const;
+
+  /// Pruned real-to-complex forward transform of the real s^3 support
+  /// cube `in` (1 <= s <= n) into the half spectrum `out`
+  /// (half_volume() elements; every element is written). The x pass
+  /// packs two real lines into one complex FFT; all-zero y and z lines
+  /// are skipped. `line` is caller scratch of n() elements.
+  void forward_r2c(std::span<const double> in, std::size_t s,
+                   std::span<Complex> out, std::span<Complex> line) const;
+
+  /// Pruned complex-to-real inverse (including 1/n^3) of the half
+  /// spectrum `spec` of a real volume; writes only the s^3 corner cube
+  /// to `out`. `spec` is used as workspace and left overwritten. Lines
+  /// whose outputs all fall outside the cube are skipped; the x pass
+  /// recovers two real lines from one complex FFT. `line` is caller
+  /// scratch of n() elements.
+  void inverse_c2r(std::span<Complex> spec, std::size_t s,
+                   std::span<double> out, std::span<Complex> line) const;
+
+  /// 1-D line FFTs one forward_r2c or inverse_c2r at support s runs:
+  /// ceil(s^2/2) packed x lines + s*(n/2+1) y lines + n*(n/2+1) z lines.
+  std::uint64_t real_lines(std::size_t s) const;
+  /// Flops of forward_r2c at support s: real_lines(s) line FFTs at
+  /// 5 n log2 n, plus 8 flops per half-line bin to split each packed
+  /// x line into its two real lines' spectra.
+  std::uint64_t r2c_flops(std::size_t s) const;
+  /// Flops of inverse_c2r at support s: real_lines(s) line FFTs at
+  /// 5 n log2 n, plus 4 flops per half-line bin to pack two Hermitian
+  /// lines into one complex line.
+  std::uint64_t c2r_flops(std::size_t s) const;
 
  private:
   void transform(std::span<Complex> vol, bool inverse) const;

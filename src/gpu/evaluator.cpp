@@ -106,7 +106,9 @@ void GpuEvaluator::s2u_gpu() {
 }
 
 void GpuEvaluator::vli_gpu() {
-  const std::size_t vol = tables_.fft_volume();
+  const std::size_t len = tables_.spectrum_len();
+  const std::size_t s = tables_.n();
+  const fft::Fft3d& plan = tables_.fft();
   const auto& embed = tables_.embed_index();
   const int m = tables_.m();
   const auto u = cpu_.u();
@@ -118,14 +120,15 @@ void GpuEvaluator::vli_gpu() {
     max_level = std::max(max_level, static_cast<int>(n.key.level));
   }
 
-  std::vector<fft::Complex> work(vol);
+  std::vector<fft::Complex> work(len), line(plan.n());
+  std::vector<double> cube(s * s * s);
   for (int level = min_level; level <= max_level; ++level) {
     // Collect targets and used sources at this level.
     std::vector<std::int32_t> targets;
     std::unordered_map<std::int32_t, std::int32_t> src_slot;
     std::unordered_map<int, std::int32_t> g_slot;
     VliBatch batch;
-    batch.vol = vol;
+    batch.vol = len;
     batch.target_offset.push_back(0);
 
     for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
@@ -160,23 +163,23 @@ void GpuEvaluator::vli_gpu() {
 
     // CPU: forward FFTs of the used sources (paper: per-octant FFTs on
     // the CPU), downconverted to single precision for the device.
-    batch.src_spectra.assign(src_slot.size() * vol, {0, 0});
+    batch.src_spectra.assign(src_slot.size() * len, {0, 0});
     for (const auto& [si, slot] : src_slot) {
-      std::fill(work.begin(), work.end(), fft::Complex(0, 0));
+      std::fill(cube.begin(), cube.end(), 0.0);
       const double* usrc = u.data() + std::size_t(si) * tables_.eq_len();
-      for (int k = 0; k < m; ++k) work[embed[k]] = usrc[k];
-      tables_.fft().forward(work);
-      ctx_.flops.add("eval.vli.host", tables_.fft().transform_flops());
-      for (std::size_t i = 0; i < vol; ++i)
-        batch.src_spectra[std::size_t(slot) * vol + i] =
+      for (int k = 0; k < m; ++k) cube[embed[k]] = usrc[k];
+      plan.forward_r2c(cube, s, work, line);
+      ctx_.flops.add("eval.vli.host", plan.r2c_flops(s));
+      for (std::size_t i = 0; i < len; ++i)
+        batch.src_spectra[std::size_t(slot) * len + i] =
             std::complex<float>(static_cast<float>(work[i].real()),
                                 static_cast<float>(work[i].imag()));
     }
-    batch.g_spectra.assign(g_slot.size() * vol, {0, 0});
+    batch.g_spectra.assign(g_slot.size() * len, {0, 0});
     for (const auto& [off, slot] : g_slot) {
       const auto gd = tables_.m2l_spectra(level, off);
-      for (std::size_t i = 0; i < vol; ++i)
-        batch.g_spectra[std::size_t(slot) * vol + i] =
+      for (std::size_t i = 0; i < len; ++i)
+        batch.g_spectra[std::size_t(slot) * len + i] =
             std::complex<float>(static_cast<float>(gd[i].real()),
                                 static_cast<float>(gd[i].imag()));
     }
@@ -188,15 +191,14 @@ void GpuEvaluator::vli_gpu() {
     // CPU: inverse FFT per target and surface extraction.
     const core::LevelOps ops = tables_.at(level);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      for (std::size_t i = 0; i < vol; ++i)
-        work[i] = fft::Complex(acc[t * vol + i].real(),
-                               acc[t * vol + i].imag());
-      tables_.fft().inverse(work);
-      ctx_.flops.add("eval.vli.host", tables_.fft().transform_flops());
+      for (std::size_t i = 0; i < len; ++i)
+        work[i] = fft::Complex(acc[t * len + i].real(),
+                               acc[t * len + i].imag());
+      plan.inverse_c2r(work, s, cube, line);
+      ctx_.flops.add("eval.vli.host", plan.c2r_flops(s));
       double* out =
           checkpot.data() + std::size_t(targets[t]) * tables_.check_len();
-      for (int k = 0; k < m; ++k)
-        out[k] += ops.m2l_scale * work[embed[k]].real();
+      for (int k = 0; k < m; ++k) out[k] += ops.m2l_scale * cube[embed[k]];
     }
   }
 }

@@ -47,8 +47,17 @@ class Timer {
 /// "cluster" times.
 double thread_cpu_seconds();
 
+/// Sum of the times in `phases` whose names start with `prefix`,
+/// skipping sub-stages: a phase whose parent ("eval.vli" for
+/// "eval.vli.fwd") is itself in the map breaks down the parent's time
+/// and would otherwise be counted twice.
+double sum_phase_prefix(const std::map<std::string, double>& phases,
+                        const std::string& prefix);
+
 /// Accumulates wall and thread-CPU time into named phases. Not
-/// thread-safe: each simulated rank owns its own PhaseTimer.
+/// thread-safe: each simulated rank owns its own PhaseTimer. A phase
+/// named "<parent>.<stage>" next to a recorded "<parent>" is a sub-stage
+/// of it (see sum_phase_prefix).
 class PhaseTimer {
  public:
   /// RAII scope that adds its lifetime to the named phase. With a bound

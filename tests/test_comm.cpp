@@ -38,6 +38,19 @@ TEST(Bytes, SpanRoundTrip) {
   EXPECT_EQ(from_bytes<double>(b), v);
 }
 
+TEST(Bytes, EmptyRoundTrip) {
+  // Empty spans and vectors may carry a null data pointer; packing and
+  // unpacking them must not hand it to memcpy.
+  const auto b = to_bytes(std::span<const double>());
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(from_bytes<double>(b).empty());
+  Bytes packed;
+  pack(packed, std::vector<int>());
+  Reader r(packed);
+  EXPECT_TRUE(r.read_vector<int>().empty());
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Runtime, SingleRankRuns) {
   auto reports = Runtime::run(1, [](RankCtx& ctx) {
     EXPECT_EQ(ctx.rank(), 0);

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <unordered_map>
@@ -178,8 +180,10 @@ TEST(Operators, FftM2LMatchesDenseM2L) {
   std::vector<double> u(t.eq_len());
   for (auto& v : u) v = rng.uniform(-1, 1);
 
-  const std::size_t vol = t.fft_volume();
+  const std::size_t len = t.spectrum_len();
+  const std::size_t s = t.n();
   const auto& embed = t.embed_index();
+  std::vector<fft::Complex> line(t.fft_n());
 
   for (auto [dx, dy, dz] : std::vector<std::array<int, 3>>{
            {2, 0, 0}, {-2, 1, 0}, {3, -3, 3}, {0, 2, -1}, {-3, 0, 2}}) {
@@ -189,17 +193,18 @@ TEST(Operators, FftM2LMatchesDenseM2L) {
     std::vector<double> dense_out(t.check_len(), 0.0);
     la::gemv_acc(m, u, dense_out);
 
-    // FFT path.
-    std::vector<fft::Complex> spec(vol, fft::Complex(0, 0));
-    for (int k = 0; k < t.m(); ++k) spec[embed[k]] = u[k];
-    t.fft().forward(spec);
-    std::vector<fft::Complex> acc(vol, fft::Complex(0, 0));
+    // FFT path (pruned real transforms on half spectra).
+    std::vector<double> cube(s * s * s, 0.0);
+    for (int k = 0; k < t.m(); ++k) cube[embed[k]] = u[k];
+    std::vector<fft::Complex> spec(len);
+    t.fft().forward_r2c(cube, s, spec, line);
+    std::vector<fft::Complex> acc(len, fft::Complex(0, 0));
     fft::pointwise_mac(t.m2l_spectra(0, off), spec, acc);
-    t.fft().inverse(acc);
+    t.fft().inverse_c2r(acc, s, cube, line);
     std::vector<double> fft_out(t.check_len());
     // Offset sign convention: dense matrix maps source at origin to
     // target at offset; spectra encode the same displacement.
-    for (int k = 0; k < t.m(); ++k) fft_out[k] = acc[embed[k]].real();
+    for (int k = 0; k < t.m(); ++k) fft_out[k] = cube[embed[k]];
 
     EXPECT_LT(rel_l2_error(fft_out, dense_out), 1e-10)
         << "offset " << dx << "," << dy << "," << dz;
@@ -750,6 +755,77 @@ TEST(TablesCache, MissingOrCorruptFileReturnsFalse) {
     os << "not a table cache at all";
   }
   EXPECT_FALSE(t.load_cache(path));
+}
+
+/// Saves a cache holding level 0 and the (2,-1,0) spectrum, returns its
+/// bytes and the spectrum's element count.
+std::vector<char> saved_cache_bytes(const Tables& t, const std::string& path,
+                                    std::size_t* count) {
+  (void)t.m2l_spectra(0, offset_index(2, -1, 0));
+  t.save_cache(path);
+  *count = t.m2l_spectra(0, offset_index(2, -1, 0)).size();
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+TEST(TablesCache, RejectsOldFormat) {
+  // A file from before half spectra carried the "pkifmmTB" magic and
+  // full-volume spectra; it must be refused, not misread.
+  kernels::LaplaceKernel kernel;
+  FmmOptions opts;
+  opts.surface_n = 4;
+  const Tables a(kernel, opts);
+  const std::string path = ::testing::TempDir() + "/pkifmm_old.bin";
+  std::size_t count = 0;
+  auto bytes = saved_cache_bytes(a, path, &count);
+  const std::uint64_t old_magic = 0x706b69666d6d5442ull;
+  std::memcpy(bytes.data(), &old_magic, sizeof(old_magic));
+  write_bytes(path, bytes);
+  Tables b(kernel, opts);
+  EXPECT_FALSE(b.load_cache(path));
+}
+
+TEST(TablesCache, RejectsWrongSpectrumCountOrOffset) {
+  // The last record is [level i32][offset i32][count u64][count values];
+  // a count that is not tdim*sdim*spectrum_len, or an offset that is not
+  // a V-list offset, must fail the load instead of reaching the MAC.
+  kernels::LaplaceKernel kernel;
+  FmmOptions opts;
+  opts.surface_n = 4;
+  const Tables a(kernel, opts);
+  const std::string path = ::testing::TempDir() + "/pkifmm_count.bin";
+  std::size_t count = 0;
+  const auto good = saved_cache_bytes(a, path, &count);
+  ASSERT_EQ(count, a.spectrum_len());
+  const std::size_t count_at =
+      good.size() - count * sizeof(fft::Complex) - sizeof(std::uint64_t);
+
+  for (const std::uint64_t bad : {std::uint64_t(count - 1),
+                                  std::uint64_t(count + 1),
+                                  std::uint64_t(a.fft_n() * a.fft_n() *
+                                                a.fft_n())}) {
+    auto bytes = good;
+    std::memcpy(bytes.data() + count_at, &bad, sizeof(bad));
+    write_bytes(path, bytes);
+    Tables b(kernel, opts);
+    EXPECT_FALSE(b.load_cache(path)) << "count " << bad;
+  }
+
+  auto bytes = good;
+  const std::int32_t near = offset_index(1, 0, 0);
+  std::memcpy(bytes.data() + count_at - sizeof(near), &near, sizeof(near));
+  write_bytes(path, bytes);
+  Tables c(kernel, opts);
+  EXPECT_FALSE(c.load_cache(path));
+
+  write_bytes(path, good);
+  Tables d(kernel, opts);
+  EXPECT_TRUE(d.load_cache(path));
 }
 
 TEST(Fmm, FlopAndTimePhasesAreRecorded) {

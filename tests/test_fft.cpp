@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -276,6 +277,136 @@ TEST(Fft3d, TransformFlopsPositiveAndScales) {
   Fft3d a(8), b(16);
   EXPECT_GT(a.transform_flops(), 0u);
   EXPECT_GT(b.transform_flops(), a.transform_flops());
+}
+
+/// Random real s^3 support cube.
+std::vector<double> random_cube(std::size_t s, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> c(s * s * s);
+  for (auto& x : c) x = rng.uniform(-1, 1);
+  return c;
+}
+
+/// The c2c spectrum of the n^3 volume that is `cube` on [0, s)^3 and
+/// zero elsewhere.
+std::vector<Complex> c2c_spectrum(const Fft3d& plan,
+                                  const std::vector<double>& cube,
+                                  std::size_t s) {
+  const std::size_t n = plan.n();
+  std::vector<Complex> vol(plan.volume(), Complex(0, 0));
+  for (std::size_t z = 0; z < s; ++z)
+    for (std::size_t y = 0; y < s; ++y)
+      for (std::size_t x = 0; x < s; ++x)
+        vol[(z * n + y) * n + x] = cube[(z * s + y) * s + x];
+  plan.forward(vol);
+  return vol;
+}
+
+double max_abs(std::span<const Complex> v) {
+  double m = 0.0;
+  for (const auto& x : v) m = std::max(m, std::abs(x));
+  return m;
+}
+
+TEST(Fft3dReal, ForwardR2cMatchesC2cHalfSpectrum) {
+  for (std::size_t n : {8u, 16u}) {
+    const Fft3d plan(n);
+    const std::size_t hx = n / 2 + 1;
+    std::vector<Complex> half(plan.half_volume()), line(n);
+    for (std::size_t s = 3; s <= n / 2 + 1; ++s) {
+      const auto cube = random_cube(s, 1000 * n + s);
+      const auto full = c2c_spectrum(plan, cube, s);
+      plan.forward_r2c(cube, s, half, line);
+      double err = 0.0;
+      for (std::size_t kz = 0; kz < n; ++kz)
+        for (std::size_t ky = 0; ky < n; ++ky)
+          for (std::size_t kx = 0; kx < hx; ++kx)
+            err = std::max(err, std::abs(half[(kz * n + ky) * hx + kx] -
+                                         full[(kz * n + ky) * n + kx]));
+      EXPECT_LE(err, 1e-14 * max_abs(full)) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(Fft3dReal, InverseC2rMatchesC2cOnSupportCube) {
+  for (std::size_t n : {8u, 16u}) {
+    const Fft3d plan(n);
+    const std::size_t hx = n / 2 + 1;
+    std::vector<Complex> half(plan.half_volume()), line(n);
+    // A Hermitian spectrum: the transform of a real volume with full
+    // support, as the V-list accumulators are.
+    auto full = c2c_spectrum(plan, random_cube(n, 77 + n), n);
+    for (std::size_t s = 3; s <= n / 2 + 1; ++s) {
+      for (std::size_t kz = 0; kz < n; ++kz)
+        for (std::size_t ky = 0; ky < n; ++ky)
+          for (std::size_t kx = 0; kx < hx; ++kx)
+            half[(kz * n + ky) * hx + kx] = full[(kz * n + ky) * n + kx];
+      std::vector<double> got(s * s * s);
+      plan.inverse_c2r(half, s, got, line);
+      auto vol = full;
+      plan.inverse(vol);
+      double err = 0.0, ref = 0.0;
+      for (std::size_t z = 0; z < s; ++z)
+        for (std::size_t y = 0; y < s; ++y)
+          for (std::size_t x = 0; x < s; ++x) {
+            const double want = vol[(z * n + y) * n + x].real();
+            err = std::max(err, std::abs(got[(z * s + y) * s + x] - want));
+            ref = std::max(ref, std::abs(want));
+          }
+      EXPECT_LE(err, 1e-14 * ref) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(Fft3dReal, RoundTripRecoversSupportCube) {
+  for (std::size_t n : {8u, 16u})
+    for (std::size_t s : {std::size_t(1), std::size_t(3), n / 2 + 1, n}) {
+      const Fft3d plan(n);
+      std::vector<Complex> half(plan.half_volume()), line(n);
+      const auto cube = random_cube(s, 500 + n + s);
+      std::vector<double> back(cube.size());
+      plan.forward_r2c(cube, s, half, line);
+      plan.inverse_c2r(half, s, back, line);
+      double err = 0.0;
+      for (std::size_t i = 0; i < cube.size(); ++i)
+        err = std::max(err, std::abs(back[i] - cube[i]));
+      EXPECT_LE(err, 1e-14) << "n=" << n << " s=" << s;
+    }
+}
+
+TEST(Fft3dReal, FlopsCountLinesRunPlusPacking) {
+  // At the default surface order (s = 6 on the 16^3 grid) the pruned
+  // pair runs 18 packed x lines, 6*9 y lines and 16*9 z lines each way,
+  // against 3*256 lines for a c2c transform.
+  const Fft3d plan(16);
+  EXPECT_EQ(plan.real_lines(6), 216u);
+  for (std::size_t n : {8u, 16u}) {
+    const Fft3d p(n);
+    const std::uint64_t line_flops =
+        5ull * n * static_cast<std::uint64_t>(std::countr_zero(n));
+    const std::uint64_t hx = n / 2 + 1;
+    for (std::size_t s = 1; s <= n; ++s) {
+      const std::uint64_t packed = (s * s + 1) / 2;
+      const std::uint64_t lines = packed + s * hx + n * hx;
+      EXPECT_EQ(p.real_lines(s), lines);
+      EXPECT_EQ(p.r2c_flops(s), lines * line_flops + packed * 8 * hx);
+      EXPECT_EQ(p.c2r_flops(s), lines * line_flops + packed * 4 * hx);
+    }
+    EXPECT_LT(p.r2c_flops(n), p.transform_flops());
+  }
+}
+
+TEST(Fft3dReal, RejectsBadShapes) {
+  const Fft3d plan(8);
+  std::vector<Complex> half(plan.half_volume()), line(8), short_line(4);
+  std::vector<double> cube(27);
+  EXPECT_ANY_THROW(plan.forward_r2c(cube, 4, half, line));   // cube != s^3
+  EXPECT_ANY_THROW(plan.forward_r2c(cube, 3, half, short_line));
+  std::vector<double> big(9 * 9 * 9);
+  EXPECT_ANY_THROW(plan.forward_r2c(big, 9, half, line));    // s > n
+  EXPECT_ANY_THROW(plan.inverse_c2r(
+      std::span<Complex>(half.data(), half.size() - 1), 3, cube, line));
+  EXPECT_ANY_THROW(Fft3d(2 * Fft3d::kMaxN));
 }
 
 TEST(Fft, ParsevalIdentityHolds) {

@@ -120,6 +120,23 @@ TEST(PhaseTimer, ScopeAddsOnDestruction) {
   EXPECT_GT(pt.get("x"), 0.0);
 }
 
+TEST(PhaseTimer, PrefixSumSkipsSubStages) {
+  // "eval.vli.fwd"/".mac" break down "eval.vli"; a prefix sum over
+  // "eval." must count the V-list once. Without the parent recorded,
+  // a dotted name is an ordinary phase.
+  PhaseTimer pt;
+  pt.add("eval.vli", 2.0);
+  pt.add("eval.vli.fwd", 0.5);
+  pt.add("eval.vli.mac", 1.0);
+  pt.add("eval.uli", 3.0);
+  pt.add("eval.dag.build", 0.25);
+  pt.add("setup.tree", 7.0);
+  EXPECT_DOUBLE_EQ(sum_phase_prefix(pt.phases(), "eval."), 5.25);
+  EXPECT_DOUBLE_EQ(sum_phase_prefix(pt.phases(), "eval.vli"), 2.0);
+  EXPECT_DOUBLE_EQ(sum_phase_prefix(pt.phases(), "eval.vli.fwd"), 0.5);
+  EXPECT_DOUBLE_EQ(sum_phase_prefix(pt.phases(), "eval.vli."), 1.5);
+}
+
 TEST(FlopCounter, TracksPerPhaseAndTotal) {
   FlopCounter fc;
   fc.add("uli", 100);
