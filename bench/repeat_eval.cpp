@@ -12,10 +12,7 @@
 /// columns stay roughly constant — the same arithmetic runs, spread
 /// over workers — which is itself a useful sanity check. `--clamp=0`
 /// bypasses the oversubscription guard (for measuring on boxes whose
-/// core count is below p * K). `--exec-mode=dag` runs the evaluation
-/// as one dependency-counted task graph (DESIGN.md "DAG executor") —
-/// with identical outputs, so the wall-clock delta against the default
-/// bulk-synchronous mode is the scheduling win itself.
+/// core count is below p * K).
 ///
 /// `--health` enables the numerical-health layer (DESIGN.md §5g);
 /// `--health-overhead-check` measures its cost: the bench runs the
@@ -27,6 +24,7 @@
 /// health section the check is about.
 
 #include <cstdio>
+#include <exception>
 
 #include "common.hpp"
 
@@ -95,9 +93,7 @@ PassResult run_pass(const core::Tables& tables, int p, int threads,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli(argc, argv);
   metrics_init(cli, "repeat_eval");
   const int p = static_cast<int>(cli.get_int("p", 4));
@@ -147,9 +143,8 @@ int main(int argc, char** argv) {
   cfg.opts = opts;
   record_run("fmm", cfg, "laplace", r.reports, comm::CostModel{});
 
-  std::printf("threads per rank: %d (clamp %s) | exec mode: %s\n\n", threads,
-              clamp ? "on" : "off",
-              opts.exec_mode == core::ExecMode::kDag ? "dag" : "bulk");
+  std::printf("threads per rank: %d (clamp %s)\n\n", threads,
+              clamp ? "on" : "off");
   Table table({"phase", "max cpu (s)", "avg cpu (s)", "max wall (s)",
                "peak RSS (MiB)"});
   const auto mib = [](double b) { return fixed(b / (1024.0 * 1024.0), 1); };
@@ -193,4 +188,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// Unsupported inputs (e.g. --p=3 under the default hypercube reduce)
+// throw from setup(); report them instead of ending in terminate.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "repeat_eval: %s\n", e.what());
+    return 1;
+  }
 }

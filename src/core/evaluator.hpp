@@ -65,12 +65,10 @@ class Evaluator {
   /// path) so no task outlives the buffers it writes.
   ~Evaluator();
 
-  /// Runs the full pipeline with per-phase timing/flop accounting.
-  /// Dispatches on FmmOptions::exec_mode: kBulkSync executes the
-  /// phases in sequence with a barrier between each; kDag (with the
-  /// batched engine) executes them as one dependency-counted
-  /// util::TaskGraph via run_dag(). Both produce bitwise-identical
-  /// potentials and exact flop equality for any thread count.
+  /// Runs the full pipeline with per-phase timing/flop accounting:
+  /// the phases execute in sequence with a barrier between each, and
+  /// only the background ULI overlaps them. Potentials and flop counts
+  /// are bitwise identical for any thread count.
   void run();
 
   /// Target potentials aligned with Let::points (tdim per point).
@@ -147,14 +145,6 @@ class Evaluator {
   void vli_fft_batched();
   void downward_batched();
 
-  /// Data-driven execution of the whole batched pipeline as one
-  /// util::TaskGraph (FmmOptions::exec_mode = kDag): the bulk engine's
-  /// chunks become DAG nodes, edges exist only where a chunk reads
-  /// another chunk's output, and the Algorithm 3 reduce releases
-  /// ghost-gated V-list work incrementally per level as complete
-  /// densities arrive. See DESIGN.md "DAG executor".
-  void run_dag();
-
   // ULI ‖ far-field overlap: uli_start() submits the per-node-range
   // U-list chunks as background pool tasks writing f_uli_; uli_join()
   // waits, folds the flops, merges f_ += f_uli_, and records the
@@ -164,7 +154,7 @@ class Evaluator {
   void uli_join();
   void uli_chunk(std::size_t b, std::size_t e, int lane);
 
-  /// One level's FFT V-list work, shared by the scalar, bulk and DAG
+  /// One level's FFT V-list work, shared by the scalar and batched
   /// engines. `src` maps source slots to nodes, `tgt` lists the targets
   /// with V-work. Spectra and accumulators hold Hermitian half spectra
   /// (Tables::spectrum_len() values per component) CHUNK-MAJOR: the
@@ -221,10 +211,8 @@ class Evaluator {
   // Health-layer phase-boundary sentinels (FmmOptions::health,
   // DESIGN.md §5g): NaN/Inf scans, the moment invariant, and
   // order-independent state digests, recorded as `health.*` counters
-  // (hard failures under health_fatal). No-ops when health is off. In
-  // bulk-sync mode each runs at its phase boundary; run_dag has no
-  // boundaries, so all three run post-drain (injected corruption is
-  // still caught by the digests, just not mid-pipeline).
+  // (hard failures under health_fatal). No-ops when health is off.
+  // Each runs at its phase boundary in run().
   void health_post_s2u();    ///< owned-leaf upward densities
   void health_post_reduce(); ///< reduced upward densities (all owned)
   void health_post_run();    ///< final potentials (owned leaf targets)
@@ -249,7 +237,7 @@ class Evaluator {
   // Batch scratch, reused across phases/levels (kept allocated).
   std::vector<double> batch_in_, batch_out_, batch_tmp_;
   std::vector<std::int32_t> slots_a_, slots_b_;
-  VliLevel vli_;                            ///< bulk/scalar V-list level
+  VliLevel vli_;                            ///< current V-list level
   std::vector<std::int32_t> slot_of_;       ///< node -> level source slot
 
   // Intra-rank scheduling. pool_ is ctx.pool when the Runtime provided

@@ -50,6 +50,13 @@ void ParallelFmm::set_let_gauges() {
 
 void ParallelFmm::setup(std::vector<octree::PointRec> points) {
   const FmmOptions& opts = tables_.options();
+  // Fail before the tree is built, not in the first evaluate()'s reduce.
+  PKIFMM_CHECK_MSG(opts.reduce != ReduceMode::kHypercube ||
+                       is_power_of_two(ctx_.size()),
+                   "ReduceMode::kHypercube (paper Algorithm 3) needs a "
+                   "power-of-two rank count, got p="
+                       << ctx_.size()
+                       << "; use ReduceMode::kOwner for other rank counts");
   octree::BuildParams bp;
   bp.max_points_per_leaf = opts.max_points_per_leaf;
   bp.max_level = opts.max_level;

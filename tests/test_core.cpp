@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "core/direct.hpp"
@@ -333,6 +335,34 @@ TEST(Reduce, OwnerMatchesReferenceP6NonPow2) {
 TEST(Reduce, HypercubeRejectsNonPowerOfTwo) {
   comm::Runtime::run(1, [](comm::RankCtx&) {});  // warm-up no-op
   EXPECT_THROW(check_reduce_mode(ReduceMode::kHypercube, 3), CheckFailure);
+}
+
+// The hypercube reduce cannot run on p=3, so setup() must refuse it on
+// every rank before building anything, naming the scheme that works.
+TEST(Fmm, SetupRejectsHypercubeOnNonPowerOfTwoRanks) {
+  kernels::LaplaceKernel kernel;
+  FmmOptions opts;
+  opts.surface_n = 4;
+  opts.max_points_per_leaf = 30;
+  const Tables tables(kernel, opts);
+  std::atomic<int> threw{0};
+  std::string what;
+  std::mutex mu;
+  comm::Runtime::run(3, [&](comm::RankCtx& ctx) {
+    auto pts = octree::generate_points(Distribution::kUniform, 300,
+                                       ctx.rank(), 3, 1, 7);
+    ParallelFmm fmm(ctx, tables);
+    try {
+      fmm.setup(std::move(pts));
+    } catch (const CheckFailure& e) {
+      ++threw;
+      std::lock_guard<std::mutex> lock(mu);
+      what = e.what();
+    }
+  });
+  EXPECT_EQ(threw.load(), 3);
+  EXPECT_NE(what.find("power-of-two"), std::string::npos) << what;
+  EXPECT_NE(what.find("ReduceMode::kOwner"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------------

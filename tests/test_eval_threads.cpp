@@ -34,8 +34,6 @@ struct Case {
   Distribution dist;
   EvalMode mode;
   bool runtime_pool;  ///< provide the pool via Runtime::run overload
-  M2lMode m2l = M2lMode::kFft;
-  ExecMode exec = ExecMode::kBulkSync;
 };
 
 ThreadRun run_with_threads(const Case& c, int p, int threads) {
@@ -44,8 +42,6 @@ ThreadRun run_with_threads(const Case& c, int p, int threads) {
   opts.surface_n = 4;
   opts.max_points_per_leaf = 20;
   opts.eval_mode = c.mode;
-  opts.m2l = c.m2l;
-  opts.exec_mode = c.exec;
   opts.threads_per_rank = threads;
   opts.clamp_threads = false;
   const Tables tables(*kernel, opts);
@@ -129,81 +125,6 @@ TEST_P(EvalThreadDeterminism, IdenticalAcrossThreadCounts) {
     }
   }
 }
-
-/// Exec-mode parity sweep (DESIGN.md "DAG executor"): the DAG execution
-/// of the batched pipeline must reproduce the bulk-synchronous
-/// reference BITWISE — identical potentials and exactly equal per-phase
-/// flop counts — for any thread count, because DAG edges preserve every
-/// accumulation order of the bulk engine and the node decomposition
-/// never depends on the worker count. p=4 for FFT cases so the
-/// hypercube reduce's incremental ghost releases are exercised on a
-/// multi-round exchange; p=2 for the dense-M2L ablation.
-class DagExecParity : public ::testing::TestWithParam<Case> {};
-
-TEST_P(DagExecParity, BitwiseMatchesBulkSyncAcrossThreadCounts) {
-  Case c = GetParam();
-  const int p = c.m2l == M2lMode::kFft ? 4 : 2;
-
-  c.exec = ExecMode::kBulkSync;
-  const ThreadRun base = run_with_threads(c, p, 1);
-  ASSERT_GT(base.pot.size(), 0u);
-  std::uint64_t base_total = 0;
-  for (const auto& m : base.eval_flops)
-    for (const auto& [phase, fl] : m) base_total += fl;
-  ASSERT_GT(base_total, 0u);
-
-  c.exec = ExecMode::kDag;
-  for (const int threads : {1, 2, 4}) {
-    const ThreadRun run = run_with_threads(c, p, threads);
-
-    ASSERT_EQ(base.pot.size(), run.pot.size()) << threads << " threads";
-    for (const auto& [gid, comps] : base.pot) {
-      const auto it = run.pot.find(gid);
-      ASSERT_NE(it, run.pot.end()) << "gid " << gid;
-      ASSERT_EQ(comps.size(), it->second.size());
-      for (std::size_t k = 0; k < comps.size(); ++k)
-        EXPECT_EQ(comps[k], it->second[k])
-            << "gid " << gid << " comp " << k << " @ " << threads
-            << " threads";
-    }
-
-    // Exact flop equality: the DAG runs the same model arithmetic,
-    // phase by phase and rank by rank.
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(base.eval_flops[r], run.eval_flops[r])
-          << "rank " << r << " @ " << threads << " threads";
-    }
-
-    // The DAG scheduler published its counters on every rank.
-    for (int r = 0; r < p; ++r) {
-      const auto& s = run.sched[r];
-      ASSERT_TRUE(s.count("sched.dag.graphs")) << "rank " << r;
-      EXPECT_GE(s.at("sched.dag.graphs"), 1.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.nodes")) << "rank " << r;
-      EXPECT_GT(s.at("sched.dag.nodes"), 0.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.tasks")) << "rank " << r;
-      EXPECT_GT(s.at("sched.dag.tasks"), 0.0) << "rank " << r;
-      ASSERT_TRUE(s.count("sched.dag.edges")) << "rank " << r;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    KernelsAndM2lModes, DagExecParity,
-    ::testing::Values(
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false},
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kBatched, false,
-             M2lMode::kDense},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      const Case& c = info.param;
-      std::string name = c.kernel;
-      name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
-      name += c.m2l == M2lMode::kFft ? "Fft" : "Dense";
-      if (c.runtime_pool) name += "RuntimePool";
-      return name;
-    });
 
 /// Per-tier thread-determinism sweep: the bitwise contract must hold
 /// WITHIN each SIMD tier separately — tier selection changes the
