@@ -273,8 +273,8 @@ struct RankReport {
 /// folded in as the canonical `time.*` / `flops.*` / `comm.*` /
 /// `commx.*` / `coll.*` counters and the `obs.epoch` gauge — exactly
 /// what Runtime::run publishes into RankReport::obs at the end of the
-/// run, but available mid-run (core::ParallelFmm gathers it across
-/// ranks at the end of evaluate() to build the cross-rank summary).
+/// run, but available mid-run (core::ParallelFmm::summary() builds its
+/// one-rank summary from it).
 obs::RankMetrics snapshot_with_counters(const RankCtx& ctx);
 
 /// Launches p simulated ranks (threads) running fn and returns their

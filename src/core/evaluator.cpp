@@ -365,8 +365,7 @@ void Evaluator::s2u_scalar() {
     const LetNode& node = let_.nodes[i];
     if (!(node.owned && node.global_leaf)) continue;
     if (leaf_source_positions(i).empty()) continue;
-    const auto uc =
-        box_surf(tables_.options().upward_check_radius, node.key);
+    const auto uc = box_surf(kUpwardCheckRadius, node.key);
     std::fill(check.begin(), check.end(), 0.0);
     ctx_.flops.add("eval.s2u", kern.direct(uc, leaf_source_positions(i),
                                            leaf_source_densities(i), check));
@@ -405,8 +404,8 @@ void Evaluator::s2u_batched() {
           std::uint64_t local = 0;
           for (std::size_t j = b; j < e; ++j) {
             const std::int32_t i = slots_a_[j];
-            const auto uc = box_surf(tables_.options().upward_check_radius,
-                                     let_.nodes[i].key, lane);
+            const auto uc =
+                box_surf(kUpwardCheckRadius, let_.nodes[i].key, lane);
             local += kern.direct(
                 uc, leaf_source_positions(i), leaf_source_densities(i),
                 std::span<double>(batch_tmp_.data() + j * clen, clen));
@@ -562,7 +561,7 @@ namespace {
 
 /// Wall and rank-thread CPU time of one V-list sub-stage, summed over
 /// levels and published once per evaluate() (no per-level spans: every
-/// recorded span is re-gathered by each later obs.gather).
+/// recorded span stays in the rank's trace for the rest of the run).
 struct StageClock {
   double wall = 0.0, cpu = 0.0;
   template <class F>
@@ -834,7 +833,7 @@ void Evaluator::xli(bool include_leaves) {
           const auto list = let_.x.of(i);
           if (list.empty()) continue;
           const auto dc =
-              box_surf(tables_.options().down_check_radius, node.key, lane);
+              box_surf(kDownCheckRadius, node.key, lane);
           std::span<double> out(checkpot_.data() + i * clen, clen);
           for (auto si : list)
             local += kern.direct(dc, leaf_source_positions(si),
@@ -937,8 +936,8 @@ void Evaluator::wli() {
           const auto trg = leaf_target_positions(node);
           auto out = leaf_target_potential(node);
           for (auto si : list) {
-            const auto ue = box_surf(tables_.options().upward_equiv_radius,
-                                     let_.nodes[si].key, lane);
+            const auto ue =
+                box_surf(kUpwardEquivRadius, let_.nodes[si].key, lane);
             local += kern.direct(
                 trg, ue,
                 std::span<const double>(u_.data() + std::size_t(si) * elen,
@@ -965,7 +964,7 @@ void Evaluator::d2t() {
           if (!(node.owned && node.global_leaf) || node.target_count == 0)
             continue;
           const auto de =
-              box_surf(tables_.options().down_equiv_radius, node.key, lane);
+              box_surf(kDownEquivRadius, node.key, lane);
           local += kern.direct(
               leaf_target_positions(node), de,
               std::span<const double>(d_.data() + i * elen, elen),
@@ -1056,8 +1055,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // W-list: gradients of the members' upward equivalent fields.
     for (auto si : let_.w.of(i)) {
-      const auto ue = box_surf(tables_.options().upward_equiv_radius,
-                               let_.nodes[si].key);
+      const auto ue = box_surf(kUpwardEquivRadius, let_.nodes[si].key);
       ctx_.flops.add(
           "grad.wli",
           grad->direct(trg, ue,
@@ -1068,8 +1066,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // Far field (V + X + coarser levels) through the box's downward
     // equivalent density.
-    const auto de =
-        box_surf(tables_.options().down_equiv_radius, node.key);
+    const auto de = box_surf(kDownEquivRadius, node.key);
     ctx_.flops.add(
         "grad.d2t",
         grad->direct(trg, de,

@@ -97,7 +97,6 @@ void ParallelFmm::setup(std::vector<octree::PointRec> points) {
   // Retain the owned tree: update_points repairs it in place instead
   // of rebuilding from the point cloud.
   tree_ = std::move(tree);
-  over_threshold_steps_ = 0;
   update_stats_ = {};
   set_let_gauges();
 }
@@ -145,21 +144,6 @@ void ParallelFmm::set_densities(const std::vector<std::uint64_t>& gids,
   densities_dirty_ = true;
 }
 
-double ParallelFmm::evaluate_imbalance() const {
-  if (summary_.type() != obs::Json::Type::kObject) return 0.0;
-  if (!summary_.contains("phases")) return 0.0;
-  const obs::Json& phases = summary_.at("phases");
-  if (phases.type() != obs::Json::Type::kObject || !phases.contains("eval"))
-    return 0.0;
-  const obs::Json& eval = phases.at("eval");
-  if (eval.type() != obs::Json::Type::kObject || !eval.contains("cpu"))
-    return 0.0;
-  const obs::Json& cpu = eval.at("cpu");
-  if (cpu.type() != obs::Json::Type::kObject || !cpu.contains("imbalance"))
-    return 0.0;
-  return cpu.at("imbalance").as_double();
-}
-
 void ParallelFmm::full_rebuild_with(
     const std::vector<octree::PointMove>& moves) {
   // Same input validation as the incremental path, so the escape hatch
@@ -200,29 +184,10 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
   PKIFMM_CHECK_MSG(let_ != nullptr, "setup() must run before update_points()");
   const FmmOptions& opts = tables_.options();
 
-  // Threshold mode coasts on the current partition until the measured
-  // evaluate imbalance has stayed at or above the threshold for
-  // repart_hysteresis consecutive calls, then re-canonicalizes with one
-  // full rebuild. The imbalance comes from the cross-rank summary,
-  // which is identical on every rank, so the decision is collectively
-  // consistent without extra communication.
-  const bool threshold_mode =
-      opts.load_balance && opts.repart_imbalance_threshold > 1.0;
   // repair_tree reproduces the canonical (unbalanced) leaf set; with
   // 2:1 refinement on, only a full rebuild preserves the parity
   // contract.
-  bool force_full = !opts.incremental_setup || opts.balance_2to1;
-  if (!force_full && threshold_mode) {
-    if (evaluate_imbalance() >= opts.repart_imbalance_threshold) {
-      if (++over_threshold_steps_ >= std::max(opts.repart_hysteresis, 1)) {
-        force_full = true;
-        over_threshold_steps_ = 0;
-      }
-    } else {
-      over_threshold_steps_ = 0;
-    }
-  }
-  if (force_full) {
+  if (!opts.incremental_setup || opts.balance_2to1) {
     full_rebuild_with(moves);
     return;
   }
@@ -262,14 +227,14 @@ void ParallelFmm::update_points(const std::vector<octree::PointMove>& moves) {
     update_stats_.lists_kept += lr.kept_targets;
   }
 
-  // Track mode (the default): re-derive the canonical work-weighted
-  // destinations every step and migrate as soon as any leaf's
-  // destination changed. The weights are a pure per-leaf function of
-  // the global tree (ownership-independent) and the prefix scan runs
-  // over the allgathered global vector, so the partition never drifts
-  // from what a from-scratch setup() would choose — which is what
-  // keeps the bitwise-parity contract at any rank count.
-  if (opts.load_balance && !threshold_mode && ctx_.comm.size() > 1) {
+  // Re-derive the canonical work-weighted destinations every step and
+  // migrate as soon as any leaf's destination changed. The weights are
+  // a pure per-leaf function of the global tree (ownership-independent)
+  // and the prefix scan runs over the allgathered global vector, so the
+  // partition never drifts from what a from-scratch setup() would
+  // choose — which is what keeps the bitwise-parity contract at any
+  // rank count.
+  if (opts.load_balance && ctx_.comm.size() > 1) {
     ctx_.comm.cost().set_phase("setup.incr.balance");
     auto t = ctx_.timer.scope("setup.incr.balance");
     const auto weights = leaf_work_estimates(tables_, *let_);
@@ -378,18 +343,21 @@ ParallelFmm::Result ParallelFmm::evaluate(bool with_gradient) {
   // run's eval.* phase times stay comparable to a health-off run; the
   // sample's collectives and flops get their own health.sample phase.
   if (opts.health && opts.health_sample_rate > 0.0) health_sample(out);
-
-  // Cross-rank observability gather (outside the "eval" span, charged
-  // to its own phase): snapshot the flat metric table first so the
-  // gather's own traffic never appears in the summary it produces,
-  // then allgather the snapshots and aggregate on every rank.
-  ctx_.comm.cost().set_phase("obs.gather");
-  const obs::RankMetrics mine = comm::snapshot_with_counters(ctx_);
-  {
-    auto t = ctx_.timer.scope("obs.gather");
-    summary_ = obs::summarize_metrics(obs::gather_metrics(ctx_.comm, mine));
-  }
   return out;
+}
+
+obs::Json ParallelFmm::summary() const {
+  // The per-destination commx.* counters address peers outside a
+  // one-rank document, so only the per-phase comm.* totals go in.
+  obs::RankMetrics mine = comm::snapshot_with_counters(ctx_);
+  std::erase_if(mine.counters, [](const auto& kv) {
+    return kv.first.starts_with("commx.");
+  });
+  return obs::summarize_metrics({std::move(mine)});
+}
+
+ParallelFmm::HealthSums ParallelFmm::take_health_sums() {
+  return std::exchange(health_sums_, {});
 }
 
 void ParallelFmm::health_ghost_checks() {
@@ -457,7 +425,7 @@ void ParallelFmm::health_sample(const Result& out) {
     for (std::size_t k = 0; k < node.target_count; ++k, ++idx) {
       const octree::PointRec& pt = pts[k];
       if (!obs::health_sampled(static_cast<std::int64_t>(pt.gid),
-                               opts.health_seed, eval_count_,
+                               kHealthSeed, eval_count_,
                                opts.health_sample_rate))
         continue;
       my_pos.insert(my_pos.end(), pt.pos, pt.pos + 3);
@@ -515,6 +483,15 @@ void ParallelFmm::health_sample(const Result& out) {
   rec.counter_add("health.sample.err2", err2);
   rec.counter_add("health.sample.ref2", ref2);
   rec.counter_add("health.sample.gid_digest", gid_digest);
+
+  // The drift monitor's cross-rank view of the same three sums.
+  const double mine[3] = {static_cast<double>(my_pos.size() / 3), err2, ref2};
+  const std::vector<double> all = ctx_.comm.allreduce(
+      std::span<const double>(mine),
+      [](double a, double b) { return a + b; });
+  health_sums_.count += all[0];
+  health_sums_.err2 += all[1];
+  health_sums_.ref2 += all[2];
 }
 
 }  // namespace pkifmm::core

@@ -70,9 +70,9 @@ class ParallelFmm {
   /// every rank calls it each step, with possibly empty moves. The
   /// resulting state is bitwise identical to a from-scratch setup()
   /// on the union of all ranks' updated points (see
-  /// FmmOptions::incremental_setup and repart_imbalance_threshold for
-  /// the policy and its escape hatches). Densities are preserved;
-  /// ghost copies refresh at the next evaluate().
+  /// FmmOptions::incremental_setup for the repartition policy and the
+  /// escape hatch). Densities are preserved; ghost copies refresh at
+  /// the next evaluate().
   void update_points(const std::vector<octree::PointMove>& moves);
 
   /// What the last update_points() did (repair vs rebuild, churn,
@@ -95,19 +95,27 @@ class ParallelFmm {
   const octree::Let& let() const { return *let_; }
   const Tables& tables() const { return tables_; }
 
-  /// Cross-rank summary document ("pkifmm.summary.v1", see
-  /// obs/aggregate.hpp). At the end of every evaluate() each rank
-  /// snapshots its flat metric table, the snapshots are allgathered
-  /// over the communicator (phase "obs.gather" — the gather's own
-  /// traffic is excluded from the summary it produces), and every rank
-  /// aggregates them, so all ranks hold the identical document — the
-  /// MPI-style pattern where any rank can write summary.json. Null
-  /// before the first evaluate(). With threads_per_rank > 1 the
-  /// evaluator folds its task pool's `sched.*` counters and per-worker
-  /// burst spans into the rank snapshot before the gather, so the
-  /// summary carries worker busy-fractions and the ULI overlap
-  /// accounting (rendered by tools/pkifmm_report).
-  const obs::Json& summary() const { return summary_; }
+  /// One-rank summary document ("pkifmm.summary.v1", see
+  /// obs/aggregate.hpp) of this rank's metrics so far, built on demand
+  /// from comm::snapshot_with_counters. Not collective: it moves no
+  /// messages and any rank may call it at any time. It carries no
+  /// comm_matrix (the rank's per-destination sends stay in its
+  /// metrics.json). The cross-rank summary comes from the
+  /// comm::Runtime::run reports after the run (obs::summarize_metrics /
+  /// summarize_runs).
+  obs::Json summary() const;
+
+  /// Cross-rank accuracy-sample sums (FmmOptions::health with a
+  /// positive sample rate). Every evaluate() adds its sampled
+  /// Σ count / Σ err2 / Σ ref2 over all ranks, so the values are
+  /// identical on every rank.
+  struct HealthSums {
+    double count = 0.0, err2 = 0.0, ref2 = 0.0;
+  };
+  /// Returns the sums accumulated since the previous call and resets
+  /// them — the per-interval input of core::TimeStepper's drift
+  /// monitor.
+  HealthSums take_health_sums();
 
   /// The per-rank recorder the FMM reports into — for callers layering
   /// their own health/diagnostic counters on top (core::TimeStepper's
@@ -115,10 +123,6 @@ class ParallelFmm {
   obs::Recorder& recorder() const { return ctx_.rec; }
 
  private:
-  /// Evaluate-phase cpu imbalance (max/avg) from the last summary —
-  /// identical on every rank, so the threshold policy's decision is
-  /// collectively consistent. 0 before the first evaluate().
-  double evaluate_imbalance() const;
   void full_rebuild_with(const std::vector<octree::PointMove>& moves);
   void set_let_gauges();
 
@@ -127,7 +131,8 @@ class ParallelFmm {
   /// consumer-side per ghost leaf — globally equal sums in a clean
   /// run), and the online accuracy sample (deterministic gid-hash
   /// subset of owned targets re-evaluated against all sources via
-  /// Kernel::direct_sample, folded into health.sample.* counters).
+  /// Kernel::direct_sample, folded into health.sample.* counters and
+  /// health_sums_).
   void health_ghost_checks();
   void health_sample(const Result& out);
 
@@ -141,8 +146,7 @@ class ParallelFmm {
   octree::OwnedTree tree_;
   octree::LetSync let_sync_;
   UpdateStats update_stats_;
-  int over_threshold_steps_ = 0;
-  obs::Json summary_;
+  HealthSums health_sums_;
   bool densities_dirty_ = false;
   /// Health bookkeeping: whether this object enabled the cost
   /// tracker's payload digests (disabled again in the destructor,

@@ -26,6 +26,21 @@ enum class EvalMode {
   kBatched,  ///< level- and operator-blocked GEMM/FFT batches (paper §IV-V)
 };
 
+/// Surface radii relative to the box half-width (Ying et al. 2004).
+/// The V-list FFT grid needs the upward equivalent and downward check
+/// surfaces to coincide.
+inline constexpr double kUpwardEquivRadius = 1.05;
+inline constexpr double kUpwardCheckRadius = 2.95;
+inline constexpr double kDownEquivRadius = 2.95;
+inline constexpr double kDownCheckRadius = 1.05;
+static_assert(kUpwardEquivRadius == kDownCheckRadius);
+
+/// Relative singular-value cutoff for the equivalent-density solves.
+inline constexpr double kPinvCutoff = 1e-12;
+
+/// Seed for the deterministic accuracy-sample selection.
+inline constexpr std::uint64_t kHealthSeed = 0x5eed;
+
 struct FmmOptions {
   /// Surface lattice parameter n: equivalent/check surfaces carry
   /// n^3 - (n-2)^3 points. 4 = low accuracy, 6 = medium, 8 = high.
@@ -67,31 +82,12 @@ struct FmmOptions {
   /// update_points() calls and repairs them in place, making per-step
   /// setup cost proportional to churn instead of N. The repaired
   /// state is bitwise identical to a from-scratch setup() on the same
-  /// points (tests/test_incremental.cpp). Off = escape hatch: every
-  /// update_points() runs the full setup pipeline.
+  /// points (tests/test_incremental.cpp). With load_balance, every
+  /// update_points() re-derives the canonical work-weighted partition
+  /// and migrates the leaves whose destination changed, so ownership
+  /// never drifts from what setup() would choose. Off = escape hatch:
+  /// every update_points() runs the full setup pipeline.
   bool incremental_setup = true;
-
-  /// Repartition policy of the incremental path. 0 (default, "track"):
-  /// the canonical work-weighted partition is re-derived after every
-  /// update_points() and leaves migrate as soon as their canonical
-  /// destination changes — ownership then never drifts from what a
-  /// from-scratch setup() would choose, which is what makes the
-  /// bitwise-parity contract hold at any rank count. > 1
-  /// ("threshold"): ownership is left alone — cheapest per step — until
-  /// the measured evaluate-phase cpu imbalance (max/avg from the
-  /// cross-rank summary, identical on every rank) has been at or above
-  /// this value for repart_hysteresis consecutive update_points()
-  /// calls; then one full rebuild re-canonicalizes everything. While
-  /// coasting below the threshold the partition may differ from the
-  /// canonical one, so cross-rank reduction groupings — and thus the
-  /// last bits of the potentials at p > 1 — may drift within rounding;
-  /// the tree, leaf set and total flops still match exactly.
-  double repart_imbalance_threshold = 0.0;
-
-  /// Consecutive over-threshold update_points() calls required before
-  /// the threshold policy triggers its full rebuild (debounce, so one
-  /// noisy measurement on some rank count does not thrash).
-  int repart_hysteresis = 2;
 
   /// 2:1 balance refinement of the octree after construction (the
   /// DENDRO substrate feature of the paper's reference [16]). The FMM
@@ -99,15 +95,6 @@ struct FmmOptions {
   /// contrast — but it bounds U/W/X list sizes; off by default to match
   /// the paper's configuration.
   bool balance_2to1 = false;
-
-  /// Surface radii relative to the box half-width (Ying et al. 2004).
-  double upward_equiv_radius = 1.05;
-  double upward_check_radius = 2.95;
-  double down_equiv_radius = 2.95;
-  double down_check_radius = 1.05;
-
-  /// Relative singular-value cutoff for the equivalent-density solves.
-  double pinv_cutoff = 1e-12;
 
   /// Per-message flow tracing (obs/flow.hpp): every point-to-point
   /// message gets (src, dst, tag, phase, seq) + timestamps, blocked
@@ -147,9 +134,6 @@ struct FmmOptions {
   /// whose sampled error exceeds `health_drift_ratio ×` the baseline
   /// mean raises a `health.drift.warnings` count. Must be > 1.
   double health_drift_ratio = 10.0;
-
-  /// Seed for the deterministic accuracy-sample selection.
-  std::uint64_t health_seed = 0x5eed;
 };
 
 }  // namespace pkifmm::core

@@ -55,14 +55,8 @@ void validate_options(const FmmOptions& opts) {
 }  // namespace
 
 Tables Tables::with_options(const FmmOptions& opts) const {
-  PKIFMM_CHECK_MSG(
-      opts.surface_n == opts_.surface_n &&
-          opts.upward_equiv_radius == opts_.upward_equiv_radius &&
-          opts.upward_check_radius == opts_.upward_check_radius &&
-          opts.down_equiv_radius == opts_.down_equiv_radius &&
-          opts.down_check_radius == opts_.down_check_radius &&
-          opts.pinv_cutoff == opts_.pinv_cutoff,
-      "with_options may not change geometry-affecting fields");
+  PKIFMM_CHECK_MSG(opts.surface_n == opts_.surface_n,
+                   "with_options may not change surface_n");
   validate_options(opts);
   Tables t = *this;
   t.opts_ = opts;
@@ -99,23 +93,23 @@ std::unique_ptr<Tables::LevelTables> Tables::build_level(int level) const {
   const std::array<double, 3> origin = {0.0, 0.0, 0.0};
   const int n = opts_.surface_n;
 
-  const auto ue = surface_points(n, opts_.upward_equiv_radius, origin, half);
-  const auto uc = surface_points(n, opts_.upward_check_radius, origin, half);
-  const auto de = surface_points(n, opts_.down_equiv_radius, origin, half);
-  const auto dc = surface_points(n, opts_.down_check_radius, origin, half);
+  const auto ue = surface_points(n, kUpwardEquivRadius, origin, half);
+  const auto uc = surface_points(n, kUpwardCheckRadius, origin, half);
+  const auto de = surface_points(n, kDownEquivRadius, origin, half);
+  const auto dc = surface_points(n, kDownCheckRadius, origin, half);
 
   auto t = std::make_unique<LevelTables>();
-  t->uc2ue = la::pinv(kernel_.assemble(uc, ue), opts_.pinv_cutoff);
-  t->dc2de = la::pinv(kernel_.assemble(dc, de), opts_.pinv_cutoff);
+  t->uc2ue = la::pinv(kernel_.assemble(uc, ue), kPinvCutoff);
+  t->dc2de = la::pinv(kernel_.assemble(dc, de), kPinvCutoff);
 
   const double child_half = 0.5 * half;
   for (int i = 0; i < 8; ++i) {
     const auto cc = child_center(i, half);
     const auto ue_child =
-        surface_points(n, opts_.upward_equiv_radius, cc, child_half);
+        surface_points(n, kUpwardEquivRadius, cc, child_half);
     t->m2m[i] = la::gemm(t->uc2ue, kernel_.assemble(uc, ue_child));
     const auto dc_child =
-        surface_points(n, opts_.down_check_radius, cc, child_half);
+        surface_points(n, kDownCheckRadius, cc, child_half);
     t->l2l[i] = kernel_.assemble(dc_child, de);
   }
   return t;
@@ -159,8 +153,7 @@ std::vector<fft::Complex> Tables::build_spectra(int level,
 
   const int n = opts_.surface_n;
   const double half = 0.5 * std::pow(2.0, -level);
-  const double h = surface_spacing(n, opts_.upward_equiv_radius, half);
-  PKIFMM_CHECK(opts_.upward_equiv_radius == opts_.down_check_radius);
+  const double h = surface_spacing(n, kUpwardEquivRadius, half);
   const double box = 2.0 * half;
 
   const std::size_t grid = fft_n();
@@ -218,8 +211,8 @@ la::Matrix Tables::build_dense(int level, int off_index) const {
   const double box = 2.0 * half;
   const std::array<double, 3> src_center = {0, 0, 0};
   const std::array<double, 3> trg_center = {dx * box, dy * box, dz * box};
-  const auto ue = surface_points(n, opts_.upward_equiv_radius, src_center, half);
-  const auto dc = surface_points(n, opts_.down_check_radius, trg_center, half);
+  const auto ue = surface_points(n, kUpwardEquivRadius, src_center, half);
+  const auto dc = surface_points(n, kDownCheckRadius, trg_center, half);
   return kernel_.assemble(dc, ue);
 }
 
@@ -268,11 +261,11 @@ std::size_t Tables::save_cache(const std::string& path) const {
   put(os, static_cast<std::uint32_t>(kname.size()));
   os.write(kname.data(), std::streamsize(kname.size()));
   put(os, static_cast<std::int32_t>(opts_.surface_n));
-  put(os, opts_.upward_equiv_radius);
-  put(os, opts_.upward_check_radius);
-  put(os, opts_.down_equiv_radius);
-  put(os, opts_.down_check_radius);
-  put(os, opts_.pinv_cutoff);
+  put(os, kUpwardEquivRadius);
+  put(os, kUpwardCheckRadius);
+  put(os, kDownEquivRadius);
+  put(os, kDownCheckRadius);
+  put(os, kPinvCutoff);
 
   put(os, static_cast<std::uint64_t>(cache_->levels.size()));
   for (const auto& [level, t] : cache_->levels) {
@@ -310,9 +303,9 @@ bool Tables::load_cache(const std::string& path) {
       !get(is, r4) || !get(is, cutoff))
     return false;
   if (kname != kernel_.name() || sn != opts_.surface_n ||
-      r1 != opts_.upward_equiv_radius || r2 != opts_.upward_check_radius ||
-      r3 != opts_.down_equiv_radius || r4 != opts_.down_check_radius ||
-      cutoff != opts_.pinv_cutoff)
+      r1 != kUpwardEquivRadius || r2 != kUpwardCheckRadius ||
+      r3 != kDownEquivRadius || r4 != kDownCheckRadius ||
+      cutoff != kPinvCutoff)
     return false;
 
   // Stage everything, then commit under the lock.

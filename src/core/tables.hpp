@@ -59,8 +59,8 @@ class Tables {
 
   /// Copy sharing the (expensive) precomputed operator cache but with
   /// different non-geometric options (q, m2l mode, reduce mode, load
-  /// balancing). Geometry-affecting fields (surface_n, radii,
-  /// pinv_cutoff) must match the original.
+  /// balancing). The one geometry-affecting field, surface_n, must
+  /// match the original.
   Tables with_options(const FmmOptions& opts) const;
 
   const kernels::Kernel& kernel() const { return kernel_; }

@@ -39,32 +39,12 @@ TimeStepper::TimeStepper(ParallelFmm& fmm, VelocityFn velocity,
 }
 
 void TimeStepper::health_drift_check() {
-  const FmmOptions& fopts = fmm_.tables().options();
-  if (!fopts.health || fopts.health_sample_rate <= 0.0) return;
-  // Cumulative cross-rank sample sums from the last evaluate()'s
-  // summary (null before the first evaluate — nothing to diff yet).
-  const obs::Json& s = fmm_.summary();
-  if (s.type() != obs::Json::Type::kObject || !s.contains("metrics")) return;
-  const obs::Json& m = s.at("metrics");
-  auto metric_sum = [&m](const char* name) -> double {
-    if (m.type() != obs::Json::Type::kObject || !m.contains(name)) return 0.0;
-    const obs::Json& e = m.at(name);
-    if (e.type() != obs::Json::Type::kObject || !e.contains("sum"))
-      return 0.0;
-    return e.at("sum").as_double();
-  };
-  const double cnt = metric_sum("health.sample.count");
-  const double err2 = metric_sum("health.sample.err2");
-  const double ref2 = metric_sum("health.sample.ref2");
-  const double d_cnt = cnt - prev_cnt_;
-  const double d_err2 = err2 - prev_err2_;
-  const double d_ref2 = ref2 - prev_ref2_;
-  prev_cnt_ = cnt;
-  prev_err2_ = err2;
-  prev_ref2_ = ref2;
-  if (d_cnt <= 0.0 || d_ref2 <= 0.0) return;
+  // Zero sums (health or sampling off, or no evaluate() since the last
+  // step) leave nothing to observe.
+  const ParallelFmm::HealthSums d = fmm_.take_health_sums();
+  if (d.count <= 0.0 || d.ref2 <= 0.0) return;
 
-  const double err = std::sqrt(std::max(d_err2, 0.0) / d_ref2);
+  const double err = std::sqrt(std::max(d.err2, 0.0) / d.ref2);
   obs::Recorder& rec = fmm_.recorder();
   rec.counter_add("health.drift.steps");
   if (drift_.observe(err)) rec.counter_add("health.drift.warnings");

@@ -56,22 +56,24 @@ class TimeStepper {
   ///
   /// With FmmOptions::health and a positive sample rate, each step()
   /// first folds the sampled error accumulated by the evaluate()s
-  /// since the previous step into the drift monitor: the per-interval
-  /// error sqrt(Δerr2 / Δref2) is baselined over a short warmup, and
-  /// an interval exceeding health_drift_ratio × baseline raises a
-  /// `health.drift.warnings` count (`health.drift.steps` observed
-  /// intervals, `health.drift.err_max` worst interval error) — the
-  /// online tripwire for incremental-repair divergence.
+  /// since the previous step (ParallelFmm::take_health_sums) into the
+  /// drift monitor: the per-interval error sqrt(Σerr2 / Σref2) is
+  /// baselined over a short warmup, and an interval exceeding
+  /// health_drift_ratio × baseline raises a `health.drift.warnings`
+  /// count (`health.drift.steps` observed intervals,
+  /// `health.drift.err_max` worst interval error) — the online
+  /// tripwire for incremental-repair divergence. Two step()s with no
+  /// evaluate() between them observe one interval; several evaluate()s
+  /// between two steps fold into one.
   std::size_t step();
 
   double time() const { return t_; }
   std::uint64_t steps_taken() const { return steps_; }
 
  private:
-  /// Diffs the cumulative health.sample.{count,err2,ref2} sums in the
-  /// last summary against the previous step's values and feeds the
-  /// interval error to drift_. The summary is identical on every rank,
-  /// so the warning decision is collectively consistent.
+  /// Feeds the interval error of the cross-rank sample sums taken
+  /// from fmm_ to drift_. The sums are identical on every rank, so the
+  /// warning decision is collectively consistent.
   void health_drift_check();
 
   ParallelFmm& fmm_;
@@ -80,7 +82,6 @@ class TimeStepper {
   double t_ = 0.0;
   std::uint64_t steps_ = 0;
   obs::DriftMonitor drift_;
-  double prev_cnt_ = 0.0, prev_err2_ = 0.0, prev_ref2_ = 0.0;
 };
 
 }  // namespace pkifmm::core

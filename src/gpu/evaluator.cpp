@@ -81,9 +81,9 @@ void GpuEvaluator::run() {
 
 void GpuEvaluator::s2u_gpu() {
   std::uint64_t kflops = 0;
-  const auto check = run_s2u_check(
-      dev_, gpu_let_, unit_,
-      static_cast<float>(tables_.options().upward_check_radius), &kflops);
+  const auto check =
+      run_s2u_check(dev_, gpu_let_, unit_,
+                    static_cast<float>(core::kUpwardCheckRadius), &kflops);
   ctx_.flops.add("eval.s2u", kflops);
 
   // CPU: convert check potentials to equivalent densities (small gemv).
@@ -214,10 +214,9 @@ void GpuEvaluator::d2t_gpu() {
     for (int k = 0; k < m; ++k)
       d_per_box[bi * m + k] = static_cast<float>(src[k]);
   }
-  const std::uint64_t kflops = run_d2t(
-      dev_, gpu_let_, unit_,
-      static_cast<float>(tables_.options().down_equiv_radius), d_per_box,
-      ws_);
+  const std::uint64_t kflops =
+      run_d2t(dev_, gpu_let_, unit_,
+              static_cast<float>(core::kDownEquivRadius), d_per_box, ws_);
   ctx_.flops.add("eval.d2t", kflops);
 }
 
@@ -239,8 +238,8 @@ void GpuEvaluator::wli_gpu() {
   ctx_.flops.add(
       "eval.wli",
       run_wli(dev_, gpu_let_, unit_,
-              static_cast<float>(tables_.options().upward_equiv_radius),
-              u_per_slot, ws_));
+              static_cast<float>(core::kUpwardEquivRadius), u_per_slot,
+              ws_));
 }
 
 void GpuEvaluator::xli_gpu() {
@@ -248,9 +247,9 @@ void GpuEvaluator::xli_gpu() {
   // array on the device) stay on the CPU.
   cpu_.xli(/*include_leaves=*/false);
   std::uint64_t kflops = 0;
-  const auto check = run_xli(
-      dev_, gpu_let_, unit_,
-      static_cast<float>(tables_.options().down_check_radius), &kflops);
+  const auto check =
+      run_xli(dev_, gpu_let_, unit_,
+              static_cast<float>(core::kDownCheckRadius), &kflops);
   ctx_.flops.add("eval.xli", kflops);
 
   // Accumulate into the (double) check potentials before the downward

@@ -8,7 +8,9 @@
 /// per phase across 65K processes, Fig. 5 is per-rank flop variance,
 /// and the Algorithm 2/3 claims are about traffic *shape*. A single
 /// rank's metrics.json cannot show any of that, so this layer joins
-/// the per-rank tables into one document:
+/// the per-rank tables into one document. Its input is the end-of-run
+/// comm::Runtime::run reports (RankReport::obs), one per rank; nothing
+/// here communicates, and the library never aggregates mid-run:
 ///
 ///   {
 ///     "schema": "pkifmm.summary.v1",
@@ -82,7 +84,6 @@
 /// (summarize_runs) folds per-run accumulators with
 /// Accumulator::merge(), it never revisits raw samples.
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -140,30 +141,5 @@ struct GateOptions {
 /// validate_summary_json or the rank counts differ (not comparable).
 Json compare_summaries(const Json& fresh, const Json& baseline,
                        const GateOptions& opt = {});
-
-/// Gathers every rank's snapshot to every rank over any communicator
-/// providing `allgatherv(std::span<const char>)` (comm::Comm does; the
-/// duck typing keeps obs free of a link dependency on comm). Each rank
-/// serializes its snapshot as a one-rank metrics.json, the documents
-/// travel as bytes, and every rank parses all of them back — exactly
-/// the pattern a real MPI build would use with MPI_Allgatherv.
-template <class CommT>
-std::vector<RankMetrics> gather_metrics(CommT& comm,
-                                        const RankMetrics& mine) {
-  const std::string text = metrics_to_json({mine}).dump();
-  auto per_rank =
-      comm.allgatherv(std::span<const char>(text.data(), text.size()));
-  std::vector<RankMetrics> out;
-  out.reserve(per_rank.size());
-  for (const auto& buf : per_rank) {
-    auto parsed = metrics_from_json(
-        Json::parse(std::string(buf.begin(), buf.end())));
-    PKIFMM_CHECK_MSG(parsed.size() == 1,
-                     "gather_metrics: peer sent " << parsed.size()
-                                                  << " rank entries");
-    out.push_back(std::move(parsed.front()));
-  }
-  return out;
-}
 
 }  // namespace pkifmm::obs

@@ -36,7 +36,8 @@
 /// CostTracker (core::ParallelFmm when flow_trace is on) must publish()
 /// it into the rank's Recorder and unbind it *before* the rank function
 /// returns — the recorder outlives the rank fn, the FlowRecorder need
-/// not. Mid-run snapshots (comm::snapshot_with_counters) fold a live,
+/// not. A mid-run snapshot (comm::snapshot_with_counters, taken only
+/// when a caller asks for core::ParallelFmm::summary()) folds a live,
 /// not-yet-published FlowRecorder into the snapshot copy without
 /// mutating it, so publishing later never double-counts.
 ///

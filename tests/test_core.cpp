@@ -14,6 +14,7 @@
 #include "core/direct.hpp"
 #include "core/fmm.hpp"
 #include "core/surface.hpp"
+#include "obs/aggregate.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -79,7 +80,7 @@ std::vector<double> make_equiv_density(const Tables& t, const morton::Key& key,
                                        const std::vector<double>& pos,
                                        const std::vector<double>& den) {
   const auto g = morton::box_geometry(key);
-  const auto uc = surface_points(t.n(), t.options().upward_check_radius,
+  const auto uc = surface_points(t.n(), kUpwardCheckRadius,
                                  g.center, g.half_width);
   std::vector<double> check(t.check_len(), 0.0);
   t.kernel().direct(uc, pos, den, check);
@@ -130,7 +131,7 @@ TEST_P(OperatorTest, S2UReproducesFarField) {
     }
   }
   const auto approx =
-      eval_equiv(t, box, opts.upward_equiv_radius, u, far);
+      eval_equiv(t, box, kUpwardEquivRadius, u, far);
   std::vector<double> exact(far.size() / 3 * t.tdim(), 0.0);
   kernel->direct(far, pos, den, exact);
   EXPECT_LT(rel_l2_error(approx, exact), 1e-5) << GetParam();
@@ -162,7 +163,7 @@ TEST_P(OperatorTest, M2MPreservesFarField) {
   std::vector<double> far = {g.center[0] + 8 * g.half_width, g.center[1],
                              g.center[2] - 7 * g.half_width};
   const auto approx =
-      eval_equiv(t, parent, opts.upward_equiv_radius, u_parent, far);
+      eval_equiv(t, parent, kUpwardEquivRadius, u_parent, far);
   std::vector<double> exact(t.tdim(), 0.0);
   kernel->direct(far, all_pos, all_den, exact);
   EXPECT_LT(rel_l2_error(approx, exact), 1e-5) << GetParam();
@@ -229,7 +230,7 @@ TEST(Operators, HomogeneousScalingMatchesRebuiltLevel) {
     const auto u = make_equiv_density(t, box, pos, den);
     const std::vector<double> far = {g.center[0], g.center[1] + 5 * g.half_width,
                                      g.center[2]};
-    const auto approx = eval_equiv(t, box, opts.upward_equiv_radius, u, far);
+    const auto approx = eval_equiv(t, box, kUpwardEquivRadius, u, far);
     std::vector<double> exact(1, 0.0);
     kernel.direct(far, pos, den, exact);
     // n=4 truncation error is ~1e-4; a scaling bug would be off by
@@ -363,6 +364,46 @@ TEST(Fmm, SetupRejectsHypercubeOnNonPowerOfTwoRanks) {
   EXPECT_EQ(threw.load(), 3);
   EXPECT_NE(what.find("power-of-two"), std::string::npos) << what;
   EXPECT_NE(what.find("ReduceMode::kOwner"), std::string::npos) << what;
+}
+
+// evaluate() talks only inside its own eval.* phases: it gathers no
+// metrics across ranks, so repeated calls add no allgatherv and leave
+// no obs.gather traffic or time behind. summary() is a local one-rank
+// view and sends nothing either.
+TEST(Fmm, EvaluateCommunicatesOnlyInItsOwnPhases) {
+  kernels::LaplaceKernel kernel;
+  FmmOptions opts;
+  opts.surface_n = 4;
+  opts.max_points_per_leaf = 30;
+  const Tables tables(kernel, opts);
+  constexpr int kP = 2;
+  std::vector<double> before(kP), after(kP);
+  std::vector<obs::Json> docs(kP);
+  const auto reports = comm::Runtime::run(kP, [&](comm::RankCtx& ctx) {
+    auto pts = octree::generate_points(Distribution::kEllipsoid, 800,
+                                       ctx.rank(), kP, 1, 7);
+    ParallelFmm fmm(ctx, tables);
+    fmm.setup(std::move(pts));
+    auto allgathers = [&ctx] {
+      const auto c = comm::snapshot_with_counters(ctx).counters;
+      const auto it = c.find("coll.allgatherv.calls");
+      return it == c.end() ? 0.0 : it->second;
+    };
+    before[static_cast<std::size_t>(ctx.rank())] = allgathers();
+    for (int i = 0; i < 3; ++i) (void)fmm.evaluate();
+    docs[static_cast<std::size_t>(ctx.rank())] = fmm.summary();
+    after[static_cast<std::size_t>(ctx.rank())] = allgathers();
+  });
+  for (int r = 0; r < kP; ++r) {
+    EXPECT_EQ(after[r], before[r]) << "rank " << r;
+    obs::validate_summary_json(docs[r]);
+    EXPECT_EQ(docs[r].at("nranks").as_int(), 1);
+    EXPECT_TRUE(docs[r].at("phases").contains("eval.vli")) << "rank " << r;
+    for (const auto& [name, v] : reports[r].obs.counters) {
+      EXPECT_FALSE(name.starts_with("comm.obs.gather.")) << name;
+      EXPECT_FALSE(name.starts_with("time.obs.gather.")) << name;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

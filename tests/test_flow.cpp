@@ -473,17 +473,7 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   const core::Tables tables(kernel, opts);
 
   constexpr int kP = 4;
-  std::vector<Json> summaries(kP);
-  const auto reports = comm::Runtime::run(
-      kP, opts.threads_per_rank, /*clamp=*/true, [&](comm::RankCtx& ctx) {
-        auto pts = octree::generate_points(
-            octree::Distribution::kEllipsoid, 2000, ctx.rank(), ctx.size(),
-            1, 42);
-        core::ParallelFmm fmm(ctx, tables);
-        fmm.setup(std::move(pts));
-        (void)fmm.evaluate();
-        summaries[static_cast<std::size_t>(ctx.rank())] = fmm.summary();
-      });
+  const auto reports = run_small_fmm(tables, kP, opts.threads_per_rank);
   ASSERT_EQ(reports.size(), static_cast<std::size_t>(kP));
 
   // Every rank published its ring into the end-of-run snapshot.
@@ -534,7 +524,9 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
   // The cross-rank summary decomposes every phase's wall time, and the
   // three legs sum to the wall within 1% (the acceptance bound; exact
   // by construction, the slack is pure float headroom).
-  const Json& doc = summaries[0];
+  std::vector<RankMetrics> ranks;
+  for (const auto& rep : reports) ranks.push_back(rep.obs);
+  const Json doc = summarize_metrics(ranks);
   validate_summary_json(doc);
   ASSERT_TRUE(doc.contains("flow"));
   EXPECT_GT(doc.at("flow").at("matched").as_double(), 0.0);
@@ -557,8 +549,6 @@ TEST(FlowIntegration, TracedRunMatchesAndDecomposes) {
 
   // The merged chrome trace carries flow arrows with matching ids on
   // both endpoints.
-  std::vector<RankMetrics> ranks;
-  for (const auto& rep : reports) ranks.push_back(rep.obs);
   const Json trace = chrome_trace_json(ranks);
   std::set<std::string> s_ids, f_ids;
   for (const Json& ev : trace.at("traceEvents").items()) {

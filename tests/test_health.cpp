@@ -403,10 +403,13 @@ TEST(HealthDrift, MonitorWarnsPastBaselineRatio) {
   EXPECT_TRUE(zero.observe(2e-13));   // over 10 x floor
 }
 
-TEST(HealthDrift, TimeStepperCountsStableSteps) {
+/// Drift accounting of a p=2 run: setup, one evaluate(), then
+/// `schedule`, where 's' is a TimeStepper::step() and 'e' an
+/// evaluate(). Returns the cross-rank summary of the run's reports.
+obs::Json run_drift(const std::string& schedule) {
   auto kernel = kernels::make_kernel("laplace");
   const Tables tables(*kernel, health_opts(0.05, true, 1));
-  const int p = 2, steps = 3;
+  const int p = 2;
   auto reports = comm::Runtime::run(p, [&](comm::RankCtx& ctx) {
     auto pts = octree::generate_points(Distribution::kEllipsoid, 1600,
                                        ctx.rank(), p, tables.sdim(), 91);
@@ -421,14 +424,21 @@ TEST(HealthDrift, TimeStepperCountsStableSteps) {
       return std::array<double, 3>{-(x[1] - 0.5), x[0] - 0.5, 0.0};
     };
     TimeStepper ts(fmm, swirl, ts_opts);
-    for (int s = 0; s < steps; ++s) {
-      (void)ts.step();
-      (void)fmm.evaluate();
+    for (const char op : schedule) {
+      if (op == 's')
+        (void)ts.step();
+      else
+        (void)fmm.evaluate();
     }
   });
   std::vector<obs::RankMetrics> ranks;
   for (auto& rep : reports) ranks.push_back(rep.obs);
-  const obs::Json s = obs::summarize_metrics(ranks);
+  return obs::summarize_metrics(ranks);
+}
+
+TEST(HealthDrift, TimeStepperCountsStableSteps) {
+  const int steps = 3;
+  const obs::Json s = run_drift("sesese");
   ASSERT_TRUE(s.contains("health"));
   // Every step() found fresh cumulative sample sums from the evaluate
   // before it, and a mild advection never drifts past 10x baseline.
@@ -436,6 +446,21 @@ TEST(HealthDrift, TimeStepperCountsStableSteps) {
   EXPECT_EQ(hfield(s, "drift", "warnings"), 0.0);
   EXPECT_GT(hfield(s, "drift", "err_max"), 0.0);
   EXPECT_LT(hfield(s, "drift", "err_max"), 1e-3);
+}
+
+/// The second of two back-to-back step()s finds no new sample, so the
+/// pair feeds the monitor once.
+TEST(HealthDrift, StepsWithoutEvaluateFeedMonitorOnce) {
+  const obs::Json s = run_drift("sse");
+  EXPECT_EQ(hfield(s, "drift", "steps"), 1.0);
+}
+
+/// Two evaluate()s between steps fold into one interval: four
+/// evaluates, two observed intervals.
+TEST(HealthDrift, EvaluatesBetweenStepsFoldIntoOneInterval) {
+  const obs::Json s = run_drift("esees");
+  EXPECT_EQ(s.at("health").at("steps").as_double(), 4.0);
+  EXPECT_EQ(hfield(s, "drift", "steps"), 2.0);
 }
 
 }  // namespace

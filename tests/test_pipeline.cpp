@@ -91,7 +91,7 @@ TEST(Upward, DensitiesReproduceFarFieldAtAllLevels) {
       }
 
       // u-density field at the probe.
-      const auto ue = surface_points(tables.n(), opts.upward_equiv_radius,
+      const auto ue = surface_points(tables.n(), kUpwardEquivRadius,
                                      geom.center, geom.half_width);
       std::vector<double> approx(1, 0.0);
       kernel.direct(std::span<const double>(probe, 3), ue,
