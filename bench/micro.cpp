@@ -131,30 +131,6 @@ void BM_LaGemmAcc(benchmark::State& state) {
 }
 BENCHMARK(BM_LaGemmAcc)->Arg(32)->Arg(256);
 
-void BM_FftPointwiseMacMany(benchmark::State& state) {
-  // One translation spectrum applied to a run of source/accumulator
-  // volumes, as in the offset-sorted V-list (grid 16 = surface n 6).
-  const std::size_t npairs = static_cast<std::size_t>(state.range(0));
-  const std::size_t vol = fft::Fft3d(16).volume();
-  Rng rng(8);
-  std::vector<fft::Complex> g(vol), f(npairs * vol), acc(npairs * vol);
-  for (auto& v : g) v = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  for (auto& v : f) v = fft::Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-  std::vector<const fft::Complex*> fs(npairs);
-  std::vector<fft::Complex*> accs(npairs);
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fs[p] = f.data() + p * vol;
-    accs[p] = acc.data() + p * vol;
-  }
-  for (auto _ : state) {
-    fft::pointwise_mac_many(g, fs, accs);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(8 * vol * npairs));
-}
-BENCHMARK(BM_FftPointwiseMacMany)->Arg(1)->Arg(32);
-
 void BM_FftPointwiseMacChunked(benchmark::State& state) {
   // One frequency chunk of the chunk-major V-list sweep: nentries
   // (source, accumulator) slot pairs under one operator slice.

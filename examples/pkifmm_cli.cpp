@@ -2,8 +2,8 @@
 /// \brief Command-line driver exposing the full pkifmm configuration
 /// surface — the entry point a downstream user scripts against.
 ///
-///   ./pkifmm_cli --n=50000 --kernel=stokes --dist=nonuniform \
-///                --ranks=8 --q=60 --accuracy=4 --reduce=hypercube \
+///   ./pkifmm_cli --n=50000 --kernel=stokes --dist=nonuniform
+///                --ranks=8 --q=60 --accuracy=4 --reduce=hypercube
 ///                --m2l=fft --balance21 --gradient --check=100
 ///
 /// Prints tree statistics, the per-phase Max/Avg breakdown (Table II

@@ -39,8 +39,6 @@ Evaluator::Evaluator(const Tables& tables, const octree::Let& let,
   }
   src_offset_[let_.nodes.size()] = src_pos_.size() / 3;
 
-  surf_scratch_.resize(std::size_t(3) * surf_.count());
-
   // Level index for the batched phases (node order within a level).
   if (!let_.nodes.empty()) {
     min_level_ = morton::kMaxDepth + 1;
@@ -110,13 +108,6 @@ std::span<double> Evaluator::leaf_target_potential(const LetNode& n) {
   const int td = tables_.tdim();
   return {f_.data() + std::size_t(n.point_begin) * td,
           std::size_t(n.target_count) * td};
-}
-
-std::span<const double> Evaluator::box_surf(double radius_scale,
-                                            const Key& k) {
-  const auto g = morton::box_geometry(k);
-  surf_.materialize(radius_scale, g.center, g.half_width, surf_scratch_);
-  return surf_scratch_;
 }
 
 std::span<const double> Evaluator::box_surf(double radius_scale, const Key& k,
@@ -214,7 +205,7 @@ void Evaluator::publish_mem_gauges() {
                     cap(pos_) + cap(src_pos_) + cap(src_den_) +
                     cap(src_offset_));
   rec.gauge_set("mem.eval.surface_bytes",
-                static_cast<double>(surf_.bytes()) + cap(surf_scratch_));
+                static_cast<double>(surf_.bytes()));
   rec.gauge_set("mem.eval.lane_scratch_bytes",
                 cap(lane_surf_) + cap(lane_spec_) + cap(lane_cube_));
   rec.gauge_set("mem.eval.batch_bytes",
@@ -356,29 +347,7 @@ void Evaluator::health_post_run() {
                    "health: non-finite potentials after D2T");
 }
 
-void Evaluator::s2u() { batched() ? s2u_batched() : s2u_scalar(); }
-
-void Evaluator::s2u_scalar() {
-  const auto& kern = tables_.kernel();
-  std::vector<double> check(tables_.check_len());
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!(node.owned && node.global_leaf)) continue;
-    if (leaf_source_positions(i).empty()) continue;
-    const auto uc = box_surf(kUpwardCheckRadius, node.key);
-    std::fill(check.begin(), check.end(), 0.0);
-    ctx_.flops.add("eval.s2u", kern.direct(uc, leaf_source_positions(i),
-                                           leaf_source_densities(i), check));
-    const LevelOps ops = tables_.at(node.key.level);
-    la::gemv_acc(*ops.uc2ue, check,
-                 std::span<double>(u_.data() + i * tables_.eq_len(),
-                                   tables_.eq_len()),
-                 ops.uc2ue_scale);
-    ctx_.flops.add("eval.s2u", la::gemv_flops(*ops.uc2ue));
-  }
-}
-
-void Evaluator::s2u_batched() {
+void Evaluator::s2u() {
   const auto& kern = tables_.kernel();
   const std::size_t clen = tables_.check_len();
   const std::size_t elen = tables_.eq_len();
@@ -428,33 +397,13 @@ void Evaluator::s2u_batched() {
   }
 }
 
-void Evaluator::u2u() { batched() ? u2u_batched() : u2u_scalar(); }
-
-void Evaluator::u2u_scalar() {
-  // Reverse preorder = children before parents.
-  for (std::size_t ri = let_.nodes.size(); ri-- > 0;) {
-    const LetNode& node = let_.nodes[ri];
-    if (!node.target || node.parent < 0) continue;
-    if (!let_.nodes[node.parent].target) continue;
-    const LevelOps ops = tables_.at(node.key.level - 1);
-    const la::Matrix& m = (*ops.m2m)[morton::child_index(node.key)];
-    la::gemv_acc(m,
-                 std::span<const double>(u_.data() + ri * tables_.eq_len(),
-                                         tables_.eq_len()),
-                 std::span<double>(u_.data() +
-                                       std::size_t(node.parent) *
-                                           tables_.eq_len(),
-                                   tables_.eq_len()));
-    ctx_.flops.add("eval.u2u", la::gemv_flops(m));
-  }
-}
-
-void Evaluator::u2u_batched() {
+void Evaluator::u2u() {
   // Deepest level first so every child's density is final before it is
   // lifted; within a level, one GEMM per child index (the eight M2M
   // operators of the paper's Table I). Child indices run high-to-low
-  // to add into each parent in the same order as the scalar engine's
-  // reverse-preorder sweep, so u2u rounds identically in both modes.
+  // so each parent accumulates its children in reverse preorder (the
+  // order of a per-node sweep from the last node back to the root);
+  // tests/test_eval_oracle.cpp pins that summation order.
   const std::size_t elen = tables_.eq_len();
   for (int level = max_level_; level > min_level_; --level) {
     if (level_nodes_[level].empty()) continue;
@@ -490,37 +439,13 @@ void Evaluator::comm_reduce() {
 
 void Evaluator::vli() {
   if (tables_.options().m2l == M2lMode::kDense) {
-    batched() ? vli_dense_batched() : vli_dense_scalar();
+    vli_dense();
   } else {
-    batched() ? vli_fft_batched() : vli_fft_scalar();
+    vli_fft();
   }
 }
 
-void Evaluator::vli_dense_scalar() {
-  // Dense baseline: one gemv per (target, source) pair.
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!node.target) continue;
-    const auto list = let_.v.of(i);
-    if (list.empty()) continue;
-    const LevelOps ops = tables_.at(node.key.level);
-    for (auto si : list) {
-      const la::Matrix& m = tables_.m2l_dense(
-          node.key.level, pair_offset_index(node, let_.nodes[si]));
-      la::gemv_acc(m,
-                   std::span<const double>(
-                       u_.data() + std::size_t(si) * tables_.eq_len(),
-                       tables_.eq_len()),
-                   std::span<double>(
-                       checkpot_.data() + i * tables_.check_len(),
-                       tables_.check_len()),
-                   ops.m2l_scale);
-      ctx_.flops.add("eval.vli", la::gemv_flops(m));
-    }
-  }
-}
-
-void Evaluator::vli_dense_batched() {
+void Evaluator::vli_dense() {
   // Pairs sorted by translation offset: one GEMM per (level, offset).
   const std::size_t elen = tables_.eq_len();
   const std::size_t clen = tables_.check_len();
@@ -709,66 +634,14 @@ std::uint64_t Evaluator::vli_inverse(const VliLevel& L, std::size_t b,
   return (e - b) * td * tables_.fft().c2r_flops(s);
 }
 
-void Evaluator::vli_fft_scalar() {
-  // Per-pair reference: the batched engine's transforms, but one plain
-  // MAC per (target, source) pair in V-list order, all on the rank
-  // thread (lane 0).
-  const int sd = tables_.sdim();
-  const int td = tables_.tdim();
-  const std::size_t len = tables_.spectrum_len();
-  VliLevel& L = vli_;
-  StageClock fwd, mac, inv;
-  slot_of_.assign(let_.nodes.size(), -1);
-  for (int level = min_level_; level <= max_level_; ++level) {
-    vli_collect(level, L);
-    if (L.tgt.empty()) continue;
-    const std::size_t nsc = L.src.size() * sd;
-    const std::size_t ntc = L.tgt.size() * td;
-
-    fwd.run([&] {
-      L.spectra.resize(nsc * len);
-      ctx_.flops.add("eval.vli", vli_forward(L, 0, L.src.size(), 0));
-    });
-
-    mac.run([&] {
-      L.acc.assign(ntc * len, fft::Complex(0, 0));
-      for (std::size_t bj = 0; bj < L.tgt.size(); ++bj) {
-        const LetNode& node = let_.nodes[L.tgt[bj]];
-        for (auto si : let_.v.of(L.tgt[bj])) {
-          const auto g = tables_.m2l_spectra(
-              level, pair_offset_index(node, let_.nodes[si]));
-          for (int ti = 0; ti < td; ++ti)
-            for (int sc = 0; sc < sd; ++sc) {
-              const fft::Complex* gc = g.data() + std::size_t(ti * sd + sc) * len;
-              const std::size_t f = std::size_t(slot_of_[si]) * sd + sc;
-              const std::size_t a = bj * td + ti;
-              for (std::size_t q = 0; q < len; q += kFreqChunk)
-                fft::pointwise_mac(
-                    {gc + q, kFreqChunk},
-                    {L.spectra.data() + q * nsc + f * kFreqChunk, kFreqChunk},
-                    {L.acc.data() + q * ntc + a * kFreqChunk, kFreqChunk});
-            }
-          ctx_.flops.add("eval.vli", 8ull * td * sd * len);
-        }
-      }
-    });
-
-    inv.run([&] {
-      ctx_.flops.add("eval.vli", vli_inverse(L, 0, L.tgt.size(),
-                                             tables_.at(level).m2l_scale, 0));
-    });
-    for (auto si : L.src) slot_of_[si] = -1;  // reset for next level
-  }
-  publish_vli_stages(ctx_.timer, fwd, mac, inv);
-}
-
-void Evaluator::vli_fft_batched() {
+void Evaluator::vli_fft() {
   // Offset-sorted, chunk-major diagonal translation (see VliLevel):
   // one flat spectra buffer per level indexed by source slot, each
   // m2l_spectra operator fetched once per offset run, and the MAC
   // parallelized over disjoint frequency chunks. Forward and inverse
   // transforms run in kFftSlotGrain slot chunks, each on its lane's
-  // scratch. Flop accounting matches the scalar path.
+  // scratch. Flops are counted as a per-pair reference would: per
+  // source, per (target, source) pair and per target.
   const std::size_t len = tables_.spectrum_len();
   PKIFMM_CHECK(len % kFreqChunk == 0);
   const std::size_t nchunks = len / kFreqChunk;
@@ -845,35 +718,7 @@ void Evaluator::xli(bool include_leaves) {
   ctx_.flops.add("eval.xli", flops.load(std::memory_order_relaxed));
 }
 
-void Evaluator::downward() { batched() ? downward_batched() : downward_scalar(); }
-
-void Evaluator::downward_scalar() {
-  // Preorder: parents are finalized before their children read them.
-  for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
-    const LetNode& node = let_.nodes[i];
-    if (!node.target) continue;
-    std::span<double> check(checkpot_.data() + i * tables_.check_len(),
-                            tables_.check_len());
-    if (node.parent >= 0 && let_.nodes[node.parent].target) {
-      const LevelOps pair_ops = tables_.at(node.key.level - 1);
-      const la::Matrix& l2l = (*pair_ops.l2l)[morton::child_index(node.key)];
-      la::gemv_acc(l2l,
-                   std::span<const double>(
-                       d_.data() + std::size_t(node.parent) * tables_.eq_len(),
-                       tables_.eq_len()),
-                   check, pair_ops.l2l_scale);
-      ctx_.flops.add("eval.down", la::gemv_flops(l2l));
-    }
-    const LevelOps ops = tables_.at(node.key.level);
-    la::gemv_acc(*ops.dc2de, check,
-                 std::span<double>(d_.data() + i * tables_.eq_len(),
-                                   tables_.eq_len()),
-                 ops.dc2de_scale);
-    ctx_.flops.add("eval.down", la::gemv_flops(*ops.dc2de));
-  }
-}
-
-void Evaluator::downward_batched() {
+void Evaluator::downward() {
   // Coarsest level first: a level's check potentials receive L2L from
   // already-finalized parent densities (one GEMM per child index), then
   // ONE dc2de conversion finalizes the level's own densities.
@@ -1040,6 +885,8 @@ std::vector<double> Evaluator::target_gradient() {
   const int gd = grad->target_dim();
   std::vector<double> g(let_.points.size() * gd, 0.0);
 
+  // Serial on the rank thread with no parallel loop in flight (run()
+  // has joined every task), so lane 0's surface scratch is free.
   for (std::size_t i = 0; i < let_.nodes.size(); ++i) {
     const LetNode& node = let_.nodes[i];
     if (!(node.owned && node.global_leaf) || node.target_count == 0) continue;
@@ -1055,7 +902,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // W-list: gradients of the members' upward equivalent fields.
     for (auto si : let_.w.of(i)) {
-      const auto ue = box_surf(kUpwardEquivRadius, let_.nodes[si].key);
+      const auto ue = box_surf(kUpwardEquivRadius, let_.nodes[si].key, 0);
       ctx_.flops.add(
           "grad.wli",
           grad->direct(trg, ue,
@@ -1066,7 +913,7 @@ std::vector<double> Evaluator::target_gradient() {
     }
     // Far field (V + X + coarser levels) through the box's downward
     // equivalent density.
-    const auto de = box_surf(kDownEquivRadius, node.key);
+    const auto de = box_surf(kDownEquivRadius, node.key, 0);
     ctx_.flops.add(
         "grad.d2t",
         grad->direct(trg, de,

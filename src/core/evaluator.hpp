@@ -14,17 +14,15 @@
 ///   f        — target potentials, aligned with Let::points
 ///              (points x tdim; valid for owned leaves)
 ///
-/// Each translation phase exists in two executions selected by
-/// FmmOptions::eval_mode (see DESIGN.md "Batched evaluation engine"):
-///   kScalar  — one gemv / pointwise_mac per octant or pair (reference)
-///   kBatched — level- and operator-blocked batches: U2U/L2L as one GEMM
-///              per (level, child index), uc2ue/dc2de as one GEMM per
-///              level, dense M2L as one GEMM per (level, offset), and
-///              the FFT V-list with flat level-sorted source spectra and
-///              (target, source) pairs sorted by translation offset so
-///              each operator spectrum is streamed over a contiguous run.
-/// Both modes account identical model flops into the same eval.* phases
-/// and agree on the outputs to rounding.
+/// The translation phases run level- and operator-blocked (see DESIGN.md
+/// "Batched evaluation engine"): S2U's uc2ue and the downward dc2de as
+/// one GEMM per level, U2U/L2L as one GEMM per (level, child index),
+/// dense M2L as one GEMM per (level, offset), and the FFT V-list with
+/// flat level-sorted source spectra and (target, source) pairs sorted
+/// by translation offset so each operator spectrum is streamed over a
+/// contiguous run. tests/test_eval_oracle.cpp checks every such phase
+/// against a per-octant, per-pair loop over the same input: outputs to
+/// rounding and model flops exactly.
 ///
 /// The V-list translation is either FFT-diagonal (per-octant forward
 /// FFTs batched by level, pointwise multiply per pair, inverse FFT per
@@ -85,10 +83,11 @@ class Evaluator {
   std::vector<double> target_gradient();
 
   // Individual phases, public for focused tests and for the GPU engine
-  // which substitutes some of them. Each dispatches on eval_mode.
+  // which substitutes some of them.
   void s2u();
   void u2u();
   void comm_reduce();
+  /// FFT-diagonal or dense M2L, as FmmOptions::m2l selects.
   void vli();
   /// X-list accumulation. include_leaves=false restricts to non-leaf
   /// targets (used by the GPU engine, which handles leaf targets on the
@@ -115,11 +114,9 @@ class Evaluator {
   std::span<double> leaf_target_potential(const octree::LetNode& n);
 
   /// Materializes the surface of radius_scale around node's box into
-  /// surf_scratch_ (invalidated by the next call) — the allocation-free
-  /// replacement for building a surface vector per kernel call.
-  std::span<const double> box_surf(double radius_scale, const morton::Key& k);
-  /// Same, into lane-private scratch — the variant every TaskPool chunk
-  /// uses so concurrent chunks never share a surface buffer.
+  /// lane-private scratch (invalidated by the lane's next call), so
+  /// concurrent TaskPool chunks never share a surface buffer and no
+  /// kernel call allocates one.
   std::span<const double> box_surf(double radius_scale, const morton::Key& k,
                                    int lane);
 
@@ -127,23 +124,8 @@ class Evaluator {
   int pair_offset_index(const octree::LetNode& tnode,
                         const octree::LetNode& snode) const;
 
-  bool batched() const {
-    return tables_.options().eval_mode == EvalMode::kBatched;
-  }
-
-  // Per-octant reference implementations.
-  void s2u_scalar();
-  void u2u_scalar();
-  void vli_dense_scalar();
-  void vli_fft_scalar();
-  void downward_scalar();
-
-  // Level/operator-blocked implementations (identical flop accounting).
-  void s2u_batched();
-  void u2u_batched();
-  void vli_dense_batched();
-  void vli_fft_batched();
-  void downward_batched();
+  void vli_dense();
+  void vli_fft();
 
   // ULI ‖ far-field overlap: uli_start() submits the per-node-range
   // U-list chunks as background pool tasks writing f_uli_; uli_join()
@@ -154,9 +136,8 @@ class Evaluator {
   void uli_join();
   void uli_chunk(std::size_t b, std::size_t e, int lane);
 
-  /// One level's FFT V-list work, shared by the scalar and batched
-  /// engines. `src` maps source slots to nodes, `tgt` lists the targets
-  /// with V-work. Spectra and accumulators hold Hermitian half spectra
+  /// One level's FFT V-list work. `src` maps source slots to nodes,
+  /// `tgt` lists the targets with V-work. Spectra and accumulators hold Hermitian half spectra
   /// (Tables::spectrum_len() values per component) CHUNK-MAJOR: the
   /// value of component `comp` at frequency q lives at
   /// buf[((q / kFreqChunk) * ncomp + comp) * kFreqChunk + q % kFreqChunk]
@@ -227,7 +208,6 @@ class Evaluator {
   std::vector<std::size_t> src_offset_;     ///< nodes+1, into src_pos_/3
 
   SurfaceCache surf_;                       ///< unit surface template
-  std::vector<double> surf_scratch_;        ///< one materialized surface
 
   /// Node indices grouped by octree level (node order within a level),
   /// the grouping key of every batched phase.

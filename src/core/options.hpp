@@ -20,12 +20,6 @@ enum class ReduceMode {
   kOwner,      ///< per-octant owner reduction (the paper's *old* scheme)
 };
 
-/// How the per-rank evaluation pipeline is executed.
-enum class EvalMode {
-  kScalar,   ///< one gemv / pointwise_mac per octant or pair (reference)
-  kBatched,  ///< level- and operator-blocked GEMM/FFT batches (paper §IV-V)
-};
-
 /// Surface radii relative to the box half-width (Ying et al. 2004).
 /// The V-list FFT grid needs the upward equivalent and downward check
 /// surfaces to coincide.
@@ -54,11 +48,6 @@ struct FmmOptions {
 
   M2lMode m2l = M2lMode::kFft;
   ReduceMode reduce = ReduceMode::kHypercube;
-
-  /// Batched (default) vs per-octant reference execution of the
-  /// evaluation pipeline. Both produce identical flop totals and agree
-  /// to rounding (see tests/test_eval_modes.cpp).
-  EvalMode eval_mode = EvalMode::kBatched;
 
   /// Intra-rank worker threads for the batched evaluation phases
   /// (paper §V's per-node parallelism, on CPU workers). 1 = serial

@@ -299,34 +299,6 @@ void pointwise_mac(std::span<const Complex> g, std::span<const Complex> f,
                    reinterpret_cast<double*>(acc.data()), g.size());
 }
 
-void pointwise_mac_many(std::span<const Complex> g,
-                        std::span<const Complex* const> fs,
-                        std::span<Complex* const> accs,
-                        std::size_t begin, std::size_t end) {
-  PKIFMM_CHECK(fs.size() == accs.size());
-  if (end == std::size_t(-1)) end = g.size();  // default: full spectrum
-  // A window reaching past the spectrum is a caller indexing bug; the
-  // old code silently clamped it to g.size() and made short volumes
-  // "work" with truncated products.
-  PKIFMM_CHECK_MSG(begin <= end && end <= g.size(),
-                   "pointwise_mac_many: window [" << begin << ", " << end
-                                                  << ") outside spectrum of "
-                                                  << g.size());
-  const std::size_t npairs = fs.size();
-  // Chunk the window so the g slice stays resident across the pair loop.
-  constexpr std::size_t kChunk = 1024;
-  const simd::Ops& ops = simd::ops();
-  const double* gd = reinterpret_cast<const double*>(g.data());
-  for (std::size_t i0 = begin; i0 < end; i0 += kChunk) {
-    const std::size_t i1 = std::min(end, i0 + kChunk);
-    for (std::size_t p = 0; p < npairs; ++p) {
-      const double* fd = reinterpret_cast<const double*>(fs[p]);
-      double* ad = reinterpret_cast<double*>(accs[p]);
-      ops.cmac(gd + 2 * i0, fd + 2 * i0, ad + 2 * i0, i1 - i0);
-    }
-  }
-}
-
 void pointwise_mac_chunked(const Complex* g, std::size_t c,
                            const Complex* f_base, Complex* acc_base,
                            std::span<const std::int32_t> fidx,

@@ -115,27 +115,6 @@ std::size_t next_pow2(std::size_t x);
 void pointwise_mac(std::span<const Complex> g, std::span<const Complex> f,
                    std::span<Complex> acc);
 
-/// Applies ONE translation spectrum g to MANY source/accumulator pairs:
-/// accs[p][i] += g[i] * fs[p][i] for every pair p and every frequency
-/// index i in [begin, end). Equivalent to fs.size() calls of
-/// pointwise_mac with the same g, but blocked so each chunk of g is
-/// loaded once per block of pairs — the batched form of the paper's
-/// diagonal translation (V-list pairs sorted by offset share their
-/// operator). The window parameters let a caller sweep the frequency
-/// axis OUTSIDE a loop over many such groups, keeping every volume's
-/// active chunk cache-resident across the groups (see
-/// core::Evaluator::vli_fft_batched). end defaults to the npos
-/// sentinel, meaning g.size(); any other value must satisfy
-/// begin <= end <= g.size() or the call throws CheckFailure (a window
-/// past the spectrum is an indexing bug, not something to clamp).
-/// fs and accs must have equal length; every volume must have g.size()
-/// elements.
-void pointwise_mac_many(std::span<const Complex> g,
-                        std::span<const Complex* const> fs,
-                        std::span<Complex* const> accs,
-                        std::size_t begin = 0,
-                        std::size_t end = std::size_t(-1));
-
 /// One frequency chunk of the chunk-major V-list sweep: entry e does
 /// acc_base[aidx[e]*c + i] += g[i] * f_base[fidx[e]*c + i] for
 /// i in [0, c). Callers store spectra and accumulators chunk-major
@@ -143,7 +122,7 @@ void pointwise_mac_many(std::span<const Complex> g,
 /// sweep with the chunk loop OUTSIDE the entry loop touches only
 /// c complex values per referenced slot — the whole level's diagonal
 /// translation runs out of L2 instead of re-streaming full volumes
-/// per pair (see core::Evaluator::vli_fft_batched). fidx and aidx
+/// per pair (see core::Evaluator::vli_fft). fidx and aidx
 /// must have equal length.
 void pointwise_mac_chunked(const Complex* g, std::size_t c,
                            const Complex* f_base, Complex* acc_base,

@@ -23,14 +23,30 @@ double Matrix::frobenius_norm() const {
 void gemv_acc(const Matrix& a, std::span<const double> x,
               std::span<double> y, double alpha) {
   PKIFMM_CHECK(x.size() == a.cols() && y.size() == a.rows());
-  const std::size_t n = a.cols();
-  // alpha scales each term (not the finished sum) so the rounding
-  // matches gemm_acc and the batched engine reproduces this reference
-  // path as closely as reordering allows (see tests/test_eval_modes).
+  // Each row sums its nonzero alpha*a[r][k]*x[k] terms from zero in
+  // ascending k through the SIMD tier's axpyn, then adds the sum to y:
+  // the per-term rounding of one gemm_acc column followed by a
+  // scatter-add, at every tier. The evaluator's batched GEMMs therefore
+  // reproduce a per-octant gemv_acc loop to rounding even where the
+  // tier fuses multiply-adds (see tests/test_eval_oracle.cpp).
+  const simd::Ops& ops = simd::ops();
+  double ak[simd::kAxpynMaxK];
+  const double* xk[simd::kAxpynMaxK];
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.data() + r * n;
+    const double* row = a.data() + r * a.cols();
     double acc = 0.0;
-    for (std::size_t c = 0; c < n; ++c) acc += (alpha * row[c]) * x[c];
+    std::size_t nk = 0;
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      const double aik = alpha * row[c];
+      if (aik == 0.0) continue;
+      ak[nk] = aik;
+      xk[nk] = x.data() + c;
+      if (++nk == simd::kAxpynMaxK) {
+        ops.axpyn(ak, xk, nk, &acc, 1);
+        nk = 0;
+      }
+    }
+    if (nk > 0) ops.axpyn(ak, xk, nk, &acc, 1);
     y[r] += acc;
   }
 }

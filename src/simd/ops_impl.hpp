@@ -8,7 +8,7 @@
 /// make_ops<P>() assembles a tier's dispatch table.
 ///
 /// Numerical contracts (asserted by tests/test_simd.cpp and the
-/// forced-tier sweeps in test_eval_modes/test_eval_threads):
+/// forced-tier sweeps in test_eval_oracle/test_eval_threads):
 ///
 ///  - Per-element arithmetic is identical between a tier's full-width
 ///    body and its masked tail, so results are bitwise independent of

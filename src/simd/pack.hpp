@@ -127,16 +127,19 @@ struct Avx512Pack {
   static V sub(V a, V b) { return _mm512_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V div(V a, V b) { return _mm512_div_pd(a, b); }
-  static V sqrt(V a) { return _mm512_sqrt_pd(a); }
+  // sqrt, swap_pairs and dup_* use the full-mask maskz_ forms: the same
+  // instructions, but GCC 12's unmasked wrappers pass an
+  // _mm512_undefined_pd() operand that trips -Wmaybe-uninitialized.
+  static V sqrt(V a) { return _mm512_maskz_sqrt_pd(0xFF, a); }
   static V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   static M eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
   static V zero_where(M m, V v) {
     return _mm512_maskz_mov_pd(static_cast<M>(~m), v);
   }
 
-  static V swap_pairs(V v) { return _mm512_permute_pd(v, 0x55); }
-  static V dup_even(V v) { return _mm512_movedup_pd(v); }
-  static V dup_odd(V v) { return _mm512_permute_pd(v, 0xFF); }
+  static V swap_pairs(V v) { return _mm512_maskz_permute_pd(0xFF, v, 0x55); }
+  static V dup_even(V v) { return _mm512_maskz_movedup_pd(0xFF, v); }
+  static V dup_odd(V v) { return _mm512_maskz_permute_pd(0xFF, v, 0xFF); }
   static V fmaddsub(V a, V b, V c) { return _mm512_fmaddsub_pd(a, b, c); }
 
   static M tail_mask(std::size_t n) {

@@ -1,7 +1,7 @@
 /// Thread-count determinism sweep (see util/task_pool.hpp): the
 /// evaluation pipeline must produce BITWISE-identical potentials and
-/// exactly equal per-phase flop counts for any threads_per_rank, in
-/// both eval modes, because every parallel chunk writes a pre-assigned
+/// exactly equal per-phase flop counts for any threads_per_rank, with
+/// either M2L mode, because every parallel chunk writes a pre-assigned
 /// disjoint output range in the serial iteration order and the chunk
 /// decomposition never depends on the worker count. clamp_threads is
 /// off so the sweep exercises real worker threads even on one-core CI.
@@ -32,7 +32,7 @@ struct ThreadRun {
 struct Case {
   std::string kernel;
   Distribution dist;
-  EvalMode mode;
+  M2lMode m2l;
   bool runtime_pool;  ///< provide the pool via Runtime::run overload
 };
 
@@ -41,7 +41,7 @@ ThreadRun run_with_threads(const Case& c, int p, int threads) {
   FmmOptions opts;
   opts.surface_n = 4;
   opts.max_points_per_leaf = 20;
-  opts.eval_mode = c.mode;
+  opts.m2l = c.m2l;
   opts.threads_per_rank = threads;
   opts.clamp_threads = false;
   const Tables tables(*kernel, opts);
@@ -136,7 +136,7 @@ TEST(EvalSimdTierThreads, BitwiseDeterministicWithinEachTier) {
     ~TierGuard() { simd::clear_forced_tier(); }
   } guard;
 
-  const Case c{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false};
+  const Case c{"stokes", Distribution::kEllipsoid, M2lMode::kFft, false};
   const int p = 2;
   for (const simd::Tier t : simd::available_tiers()) {
     simd::force_tier(t);
@@ -165,15 +165,17 @@ TEST(EvalSimdTierThreads, BitwiseDeterministicWithinEachTier) {
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndModes, EvalThreadDeterminism,
     ::testing::Values(
-        Case{"laplace", Distribution::kUniform, EvalMode::kBatched, false},
-        Case{"laplace", Distribution::kEllipsoid, EvalMode::kScalar, false},
-        Case{"stokes", Distribution::kEllipsoid, EvalMode::kBatched, false},
-        Case{"yukawa", Distribution::kUniform, EvalMode::kBatched, true}),
+        Case{"laplace", Distribution::kUniform, M2lMode::kFft, false},
+        // Dense M2L: the per-offset GEMM column windows split over lanes.
+        Case{"laplace", Distribution::kEllipsoid, M2lMode::kDense, false},
+        Case{"stokes", Distribution::kEllipsoid, M2lMode::kFft, false},
+        Case{"yukawa", Distribution::kUniform, M2lMode::kFft, true}),
     [](const ::testing::TestParamInfo<Case>& info) {
       const Case& c = info.param;
       std::string name = c.kernel;
       name += c.dist == Distribution::kUniform ? "Uniform" : "Ellipsoid";
-      name += c.mode == EvalMode::kBatched ? "Batched" : "Scalar";
+      // FFT cases keep the "Batched" suffix so their names stay stable.
+      name += c.m2l == M2lMode::kFft ? "Batched" : "Dense";
       if (c.runtime_pool) name += "RuntimePool";
       return name;
     });

@@ -198,62 +198,6 @@ TEST(PointwiseMac, Accumulates) {
   EXPECT_EQ(acc[1], Complex(6, 0));
 }
 
-TEST(PointwiseMacMany, MatchesRepeatedPointwiseMac) {
-  const std::size_t n = 64, npairs = 5;
-  const auto g = random_signal(n, 201);
-  std::vector<std::vector<Complex>> fs, accs, ref;
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fs.push_back(random_signal(n, 300 + p));
-    accs.push_back(random_signal(n, 400 + p));
-    ref.push_back(accs.back());
-    pointwise_mac(g, fs.back(), ref.back());
-  }
-  std::vector<const Complex*> fptr;
-  std::vector<Complex*> aptr;
-  for (std::size_t p = 0; p < npairs; ++p) {
-    fptr.push_back(fs[p].data());
-    aptr.push_back(accs[p].data());
-  }
-  pointwise_mac_many(g, fptr, aptr);
-  for (std::size_t p = 0; p < npairs; ++p)
-    EXPECT_LT(max_err(accs[p], ref[p]), 1e-14) << "pair " << p;
-}
-
-TEST(PointwiseMacMany, WindowTouchesOnlyRange) {
-  const std::size_t n = 32;
-  const auto g = random_signal(n, 210);
-  auto f = random_signal(n, 211);
-  auto acc = random_signal(n, 212);
-  const auto before = acc;
-  const Complex* fp = f.data();
-  Complex* ap = acc.data();
-  const std::size_t begin = 8, end = 24;
-  pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, begin, end);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Complex want = (i >= begin && i < end)
-                             ? before[i] + g[i] * f[i]
-                             : before[i];
-    EXPECT_LT(std::abs(acc[i] - want), 1e-14) << i;
-  }
-}
-
-TEST(PointwiseMacMany, RejectsWindowPastSpectrum) {
-  // The old code clamped end to g.size(), silently truncating the
-  // product; an out-of-range window is a caller bug and must throw.
-  const std::size_t n = 16;
-  const auto g = random_signal(n, 230);
-  auto f = random_signal(n, 231);
-  auto acc = random_signal(n, 232);
-  const Complex* fp = f.data();
-  Complex* ap = acc.data();
-  EXPECT_ANY_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 0, n + 1));
-  EXPECT_ANY_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 8, 4));
-  // In-range windows (including empty and the npos default) are fine.
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 4, 4));
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}, 0, n));
-  EXPECT_NO_THROW(pointwise_mac_many(g, {&fp, 1}, {&ap, 1}));
-}
-
 TEST(PointwiseMacChunked, MatchesPerEntryMac) {
   // Chunk-major layout: slot s's frequencies [q0, q0+c) live at
   // base + s*c. Each (fidx, aidx) entry is one translation applied to
