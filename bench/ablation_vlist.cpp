@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   print_header("Ablation A", "V-list translation: FFT-diagonal vs dense");
   Table table({"surface n", "mode", "vli cpu (s)", "vli flops", "speedup"});
 
-  for (int sn : {4, 6, 8}) {
+  for (int sn : {4, 5, 6, 7, 8}) {
     double dense_time = 0.0;
     for (auto mode : {core::M2lMode::kDense, core::M2lMode::kFft}) {
       ExperimentConfig cfg;
@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
   std::printf(
       "Expected shape: per pair the dense form costs ~2 m^2 flops and the\n"
       "diagonal form ~8 N^2 (N/2+1) on the Hermitian half spectrum, with\n"
-      "N = next_pow2(2n-1); they are comparable at n = 4..6 and the FFT\n"
-      "form wins decisively at n = 8 (high accuracy), which is the regime\n"
-      "the paper's KIFMM targets.\n");
+      "N = fft::grid_size(2n-1), the smallest 2^a 3^b multiple of 4 >= 2n-1\n"
+      "(n = 4..8 -> N = 8, 12, 12, 16, 16). The FFT form gains most where\n"
+      "2n-1 nearly fills the grid (n = 6, 8) and wins decisively at n = 8,\n"
+      "the high-accuracy regime the paper's KIFMM targets.\n");
   return 0;
 }

@@ -88,11 +88,12 @@ void BM_Fft3d(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * plan.transform_flops());
 }
-BENCHMARK(BM_Fft3d)->Arg(8)->Arg(16);
+BENCHMARK(BM_Fft3d)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_Fft3dRealPruned(benchmark::State& state) {
   // The V-list transform pair: r2c of an s^3 support cube, c2r back to
-  // it (args: grid N, support s = the surface order that maps to N).
+  // it (args: grid N, support s; {12, 6} is the default order's grid,
+  // {16, 6} the power-of-two grid it replaced).
   const std::size_t n = state.range(0);
   const std::size_t s = state.range(1);
   fft::Fft3d plan(n);
@@ -109,7 +110,7 @@ void BM_Fft3dRealPruned(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           (plan.r2c_flops(s) + plan.c2r_flops(s)));
 }
-BENCHMARK(BM_Fft3dRealPruned)->Args({8, 4})->Args({16, 6});
+BENCHMARK(BM_Fft3dRealPruned)->Args({8, 4})->Args({12, 6})->Args({16, 6});
 
 void BM_LaGemmAcc(benchmark::State& state) {
   // One surface-operator application batched over nb octant columns

@@ -499,8 +499,10 @@ struct StageClock {
   }
 };
 
-void publish_vli_stages(PhaseTimer& timer, const StageClock& fwd,
-                        const StageClock& mac, const StageClock& inv) {
+void publish_vli_stages(PhaseTimer& timer, const StageClock& plan,
+                        const StageClock& fwd, const StageClock& mac,
+                        const StageClock& inv) {
+  timer.add("eval.vli.plan", plan.wall, plan.cpu);
   timer.add("eval.vli.fwd", fwd.wall, fwd.cpu);
   timer.add("eval.vli.mac", mac.wall, mac.cpu);
   timer.add("eval.vli.inv", inv.wall, inv.cpu);
@@ -646,10 +648,15 @@ void Evaluator::vli_fft() {
   PKIFMM_CHECK(len % kFreqChunk == 0);
   const std::size_t nchunks = len / kFreqChunk;
   VliLevel& L = vli_;
-  StageClock fwd, mac, inv;
+  StageClock plan, fwd, mac, inv;
   slot_of_.assign(let_.nodes.size(), -1);
   for (int level = min_level_; level <= max_level_; ++level) {
-    vli_collect(level, L);
+    // The serial rank-thread work that does not scale with the
+    // spectrum: slot assignment and the offset-sorted entry groups.
+    plan.run([&] {
+      vli_collect(level, L);
+      if (!L.tgt.empty()) ctx_.flops.add("eval.vli", vli_plan(level, L));
+    });
     if (L.tgt.empty()) continue;
 
     fwd.run([&] {
@@ -666,7 +673,6 @@ void Evaluator::vli_fft() {
     });
 
     mac.run([&] {
-      ctx_.flops.add("eval.vli", vli_plan(level, L));
       L.acc.assign(L.tgt.size() * tables_.tdim() * len, fft::Complex(0, 0));
       pool_->parallel_for(
           nchunks, kFreqChunkGrain,
@@ -688,7 +694,7 @@ void Evaluator::vli_fft() {
     });
     for (auto si : L.src) slot_of_[si] = -1;  // reset for next level
   }
-  publish_vli_stages(ctx_.timer, fwd, mac, inv);
+  publish_vli_stages(ctx_.timer, plan, fwd, mac, inv);
 }
 
 void Evaluator::xli(bool include_leaves) {

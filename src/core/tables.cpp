@@ -72,9 +72,8 @@ Tables::Tables(const kernels::Kernel& kernel, const FmmOptions& opts)
   tdim_ = kernel.target_dim();
   cache_ = std::make_shared<Cache>();
 
-  const std::size_t grid =
-      fft::next_pow2(2 * static_cast<std::size_t>(opts.surface_n) - 1);
-  fft_ = std::make_shared<fft::Fft3d>(grid);
+  fft_ = std::make_shared<fft::Fft3d>(
+      fft::grid_size(2 * static_cast<std::size_t>(opts.surface_n) - 1));
 
   const std::size_t n = opts.surface_n;
   const auto& lattice = surface_lattice(opts.surface_n);

@@ -75,7 +75,7 @@ class Tables {
   /// Length of a check-potential vector (m * tdim).
   int check_len() const { return m_ * tdim_; }
 
-  /// FFT grid edge N (power of two >= 2n-1) and plan.
+  /// FFT grid edge N (fft::grid_size(2n-1): 12 at n = 6) and plan.
   std::size_t fft_n() const { return fft_->n(); }
   const fft::Fft3d& fft() const { return *fft_; }
   /// Complex elements of one V-list half spectrum, N*N*(N/2+1).

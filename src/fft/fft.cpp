@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "simd/simd.hpp"
@@ -15,6 +13,22 @@ namespace pkifmm::fft {
 namespace {
 
 bool is_pow2(std::size_t x) { return x != 0 && (x & (x - 1)) == 0; }
+
+/// Model flops of one radix-2 butterfly: a complex multiply (6) and
+/// two complex adds (4).
+constexpr std::uint64_t kBfly2Flops = 10;
+/// Model flops of one radix-3 butterfly: two twiddle multiplies (12),
+/// x1 +- x2 (4), x0 - (x1 + x2)/2 (4), the sin(60) scaling (2) and
+/// three output adds (6).
+constexpr std::uint64_t kBfly3Flops = 28;
+
+/// True for x = 2^a * 3^b (x >= 1).
+bool is_3smooth(std::size_t x) {
+  if (x == 0) return false;
+  while (x % 2 == 0) x /= 2;
+  while (x % 3 == 0) x /= 3;
+  return x == 1;
+}
 
 }  // namespace
 
@@ -55,54 +69,84 @@ void fft_inplace(std::span<Complex> a, bool inverse) {
 }
 
 Fft3d::Fft3d(std::size_t n) : n_(n) {
-  PKIFMM_CHECK_MSG(is_pow2(n) && n <= kMaxN,
-                   "Fft3d size must be a power of two <= " << kMaxN
-                                                           << ", got " << n);
-  log2n_ = std::countr_zero(n);
+  PKIFMM_CHECK_MSG(is_3smooth(n) && n <= kMaxN,
+                   "Fft3d size must be 2^a * 3^b (1, 2, 3, 4, 6, 8, 9, 12, "
+                   "16, ...) and <= "
+                       << kMaxN << ", got " << n);
+  for (std::size_t r = n; r % 3 == 0; r /= 3) radix_.push_back(3);
+  for (std::size_t r = n; r % 2 == 0; r /= 2) radix_.push_back(2);
 
-  // Twiddle table, one block of len/2 factors per butterfly stage
-  // (forward sign; the inverse conjugates on the fly).
-  tw_.reserve(2 * (n > 1 ? n - 1 : 0));
-  for (std::size_t len = 2; len <= n; len <<= 1)
-    for (std::size_t j = 0; j < len / 2; ++j) {
-      const double ang = -2.0 * std::numbers::pi *
-                         static_cast<double>(j) / static_cast<double>(len);
-      tw_.push_back(std::cos(ang));
-      tw_.push_back(std::sin(ang));
+  // Per-stage twiddles (forward sign; the inverse conjugates on the
+  // fly). A stage of radix r combines r length-m transforms into one of
+  // length r*m and needs w^(q j) for q = 1..r-1, j < m.
+  std::size_t m = 1;
+  for (const std::size_t r : radix_) {
+    const std::size_t len = r * m;
+    for (std::size_t q = 1; q < r; ++q)
+      for (std::size_t j = 0; j < m; ++j) {
+        const double ang = -2.0 * std::numbers::pi *
+                           static_cast<double>(q * j) /
+                           static_cast<double>(len);
+        tw_.push_back(std::cos(ang));
+        tw_.push_back(std::sin(ang));
+      }
+    line_flops_ += (r == 3 ? kBfly3Flops : kBfly2Flops) * (n / r);
+    m = len;
+  }
+
+  // Digit reversal: position p, read with the first stage's radix as
+  // its least significant digit, holds input index k, the same digits
+  // read in the opposite order. Each cycle p0 -> rev[p0] -> ... becomes
+  // the swaps (p0, p1), (p1, p2), ...; a power of two (an involution)
+  // gives the bit-reversal swaps.
+  std::vector<std::uint32_t> rev(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::size_t rest = p, k = 0;
+    for (const std::size_t r : radix_) {
+      k = k * r + rest % r;
+      rest /= r;
     }
-
-  rev_.resize(n);
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    rev_[i] = static_cast<std::uint32_t>(j);
+    rev[p] = static_cast<std::uint32_t>(k);
+  }
+  std::vector<bool> done(n, false);
+  for (std::size_t p0 = 0; p0 < n; ++p0) {
+    done[p0] = true;
+    for (std::size_t p = p0; !done[rev[p]]; p = rev[p]) {
+      swaps_.push_back(static_cast<std::uint32_t>(p));
+      swaps_.push_back(rev[p]);
+      done[rev[p]] = true;
+    }
   }
 }
 
 void Fft3d::line_fft(Complex* a, bool inverse) const {
   const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = rev_[i];
-    if (i < j) std::swap(a[i], a[j]);
-  }
+  for (std::size_t i = 0; i < swaps_.size(); i += 2)
+    std::swap(a[swaps_[i]], a[swaps_[i + 1]]);
 
   // Butterflies on raw re/im pairs with table twiddles: no dependent
   // w *= wlen chain and no Annex-G complex-multiply library calls.
-  // Each (stage, block) is one simd fft_bfly call over `half` complex
-  // values — both halves and the twiddles are contiguous, so the op
-  // vectorizes the j loop; blocks are processed in the same order on
-  // every call, keeping line_fft bitwise deterministic within a tier.
+  // Each (stage, block) is one simd fft_bfly3/fft_bfly call over the
+  // block's m contiguous butterflies — every leg and the twiddles are
+  // contiguous, so the op vectorizes the j loop; blocks are processed
+  // in the same order on every call, keeping line_fft bitwise
+  // deterministic within a tier.
   const simd::Ops& ops = simd::ops();
   double* ad = reinterpret_cast<double*>(a);
   const double sgn = inverse ? -1.0 : 1.0;
-  std::size_t toff = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    const double* tw = tw_.data() + 2 * toff;
-    for (std::size_t i = 0; i < n; i += len)
-      ops.fft_bfly(ad + 2 * i, ad + 2 * (i + half), tw, sgn, half);
-    toff += half;
+  const double* tw = tw_.data();
+  std::size_t m = 1;
+  for (const std::size_t r : radix_) {
+    const std::size_t len = r * m;
+    for (std::size_t i = 0; i < n; i += len) {
+      double* a0 = ad + 2 * i;
+      if (r == 3)
+        ops.fft_bfly3(a0, a0 + 2 * m, a0 + 4 * m, tw, sgn, m);
+      else
+        ops.fft_bfly(a0, a0 + 2 * m, tw, sgn, m);
+    }
+    tw += 2 * (r - 1) * m;
+    m = len;
   }
 
   if (inverse) {
@@ -144,9 +188,7 @@ void Fft3d::forward(std::span<Complex> vol) const { transform(vol, false); }
 void Fft3d::inverse(std::span<Complex> vol) const { transform(vol, true); }
 
 std::uint64_t Fft3d::transform_flops() const {
-  // 3 passes of n^2 one-dimensional transforms, 5 n log2 n flops each.
-  const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
-  return 3ull * n_ * n_ * one_d;
+  return 3ull * n_ * n_ * line_flops_;
 }
 
 void Fft3d::forward_r2c(std::span<const double> in, std::size_t s,
@@ -174,7 +216,7 @@ void Fft3d::forward_r2c(std::span<const double> in, std::size_t s,
     Complex* oa = &at(l / s, l % s, 0);
     Complex* ob = pair ? &at((l + 1) / s, (l + 1) % s, 0) : nullptr;
     for (std::size_t k = 0; k < hx; ++k) {
-      const Complex zk = ln[k], zm = ln[(n - k) & (n - 1)];
+      const Complex zk = ln[k], zm = ln[k == 0 ? 0 : n - k];
       oa[k] = Complex(0.5 * (zk.real() + zm.real()),
                       0.5 * (zk.imag() - zm.imag()));
       if (ob)
@@ -231,8 +273,9 @@ void Fft3d::inverse_c2r(std::span<Complex> spec, std::size_t s,
 
   // x pass: two Hermitian half lines A, B become Z = A + iB over the
   // full line (Z(-k) = conj A(k) + i conj B(k)); the inverse FFT's real
-  // and imaginary parts are the two real lines. The DC and Nyquist bins
-  // of a real line are real, so only their real parts enter.
+  // and imaginary parts are the two real lines. The DC and (even n)
+  // Nyquist bins of a real line are real, so only their real parts
+  // enter.
   const std::size_t nl = s * s;
   for (std::size_t l = 0; l < nl; l += 2) {
     const bool pair = l + 1 < nl;
@@ -241,7 +284,7 @@ void Fft3d::inverse_c2r(std::span<Complex> spec, std::size_t s,
     for (std::size_t k = 0; k < hx; ++k) {
       const double ar = a[k].real(), ai = a[k].imag();
       const double br = b ? b[k].real() : 0.0, bi = b ? b[k].imag() : 0.0;
-      if (k == 0 || k == n / 2) {
+      if (k == 0 || 2 * k == n) {
         ln[k] = Complex(ar, br);
       } else {
         ln[k] = Complex(ar - bi, ai + br);
@@ -262,26 +305,21 @@ std::uint64_t Fft3d::real_lines(std::size_t s) const {
 }
 
 std::uint64_t Fft3d::r2c_flops(std::size_t s) const {
-  const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
-  return real_lines(s) * one_d + (s * s + 1) / 2 * 8ull * (n_ / 2 + 1);
+  return real_lines(s) * line_flops_ + (s * s + 1) / 2 * 8ull * (n_ / 2 + 1);
 }
 
 std::uint64_t Fft3d::c2r_flops(std::size_t s) const {
-  const std::uint64_t one_d = 5ull * n_ * static_cast<std::uint64_t>(log2n_);
-  return real_lines(s) * one_d + (s * s + 1) / 2 * 4ull * (n_ / 2 + 1);
+  return real_lines(s) * line_flops_ + (s * s + 1) / 2 * 4ull * (n_ / 2 + 1);
 }
 
-std::size_t next_pow2(std::size_t x) {
-  // Largest representable power of two; beyond it the doubling loop
-  // would shift p to zero and spin forever.
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  PKIFMM_CHECK_MSG(x <= kMaxPow2,
-                   "next_pow2: " << x << " exceeds the largest size_t power "
-                                 << "of two (" << kMaxPow2 << ")");
-  std::size_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
+std::size_t grid_size(std::size_t min) {
+  std::size_t g = 4;
+  while (g <= Fft3d::kMaxN && (g < min || !is_3smooth(g))) g += 4;
+  PKIFMM_CHECK_MSG(g <= Fft3d::kMaxN,
+                   "grid_size: no 2^a * 3^b grid of at least "
+                       << min << " points fits Fft3d::kMaxN = "
+                       << Fft3d::kMaxN);
+  return g;
 }
 
 // The complex MACs below route through the runtime-dispatched SIMD

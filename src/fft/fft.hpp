@@ -1,14 +1,15 @@
 #pragma once
 /// \file fft.hpp
-/// \brief Radix-2 FFTs (complex and pruned real 3-D) and 3-D circular
-/// convolution.
+/// \brief Mixed-radix (2, 3) FFTs (complex and pruned real 3-D) and 3-D
+/// circular convolution.
 ///
 /// The paper's V-list translation is diagonalized by FFT: equivalent
 /// densities live on the surface points of a regular lattice, so the
 /// check-potential evaluation is a lattice convolution. pkifmm pads the
-/// lattice to the next power of two >= 2n-1 (making the circular
-/// convolution exact) and uses an iterative radix-2 transform; FFTW is
-/// deliberately not a dependency (unavailable substrate, see DESIGN.md).
+/// lattice to grid_size(2n-1), the smallest 3-smooth multiple of 4 that
+/// makes the circular convolution exact (12 at the default n = 6), and
+/// uses one iterative mixed-radix transform; FFTW is deliberately not a
+/// dependency (unavailable substrate, see DESIGN.md).
 
 #include <complex>
 #include <cstddef>
@@ -24,8 +25,12 @@ using Complex = std::complex<double>;
 /// transform including the 1/n normalization.
 void fft_inplace(std::span<Complex> a, bool inverse);
 
-/// Plan-like object for n x n x n transforms (n a power of two, at most
-/// Fft3d::kMaxN). Precomputes twiddle factors.
+/// Plan-like object for n x n x n transforms, n = 2^a * 3^b at most
+/// Fft3d::kMaxN. Precomputes twiddle factors and the digit-reversal
+/// permutation. A line transform is one decimation-in-time pass: the
+/// input is digit-reversed, then the radix-3 stages run (Ops::fft_bfly3),
+/// then the radix-2 stages (Ops::fft_bfly), so a power-of-two n runs
+/// exactly the radix-2 engine.
 ///
 /// Two transform pairs share the plan:
 ///  - complex-to-complex forward/inverse, in place on a full volume
@@ -59,8 +64,10 @@ class Fft3d {
   /// Inverse including the 1/n^3 normalization.
   void inverse(std::span<Complex> vol) const;
 
-  /// Flops of one 3-D c2c transform (5 n log2 n per 1-D transform, the
-  /// standard complex-FFT flop model).
+  /// Flops of one 3-D c2c transform: 3 n^2 line FFTs. A line FFT
+  /// costs 10 flops per radix-2 butterfly (n/2 per radix-2 stage;
+  /// 5 n log2 n for a power of two, the standard complex-FFT model)
+  /// plus 28 per radix-3 butterfly (n/3 per radix-3 stage).
   std::uint64_t transform_flops() const;
 
   /// Pruned real-to-complex forward transform of the real s^3 support
@@ -83,31 +90,40 @@ class Fft3d {
   /// 1-D line FFTs one forward_r2c or inverse_c2r at support s runs:
   /// ceil(s^2/2) packed x lines + s*(n/2+1) y lines + n*(n/2+1) z lines.
   std::uint64_t real_lines(std::size_t s) const;
-  /// Flops of forward_r2c at support s: real_lines(s) line FFTs at
-  /// 5 n log2 n, plus 8 flops per half-line bin to split each packed
+  /// Flops of forward_r2c at support s: real_lines(s) line FFTs,
+  /// plus 8 flops per half-line bin to split each packed
   /// x line into its two real lines' spectra.
   std::uint64_t r2c_flops(std::size_t s) const;
-  /// Flops of inverse_c2r at support s: real_lines(s) line FFTs at
-  /// 5 n log2 n, plus 4 flops per half-line bin to pack two Hermitian
+  /// Flops of inverse_c2r at support s: real_lines(s) line FFTs,
+  /// plus 4 flops per half-line bin to pack two Hermitian
   /// lines into one complex line.
   std::uint64_t c2r_flops(std::size_t s) const;
 
  private:
   void transform(std::span<Complex> vol, bool inverse) const;
   /// One contiguous n-element line, using the precomputed twiddle and
-  /// bit-reversal tables (raw re/im butterflies — no libcall-per-
+  /// digit-reversal tables (raw re/im butterflies — no libcall-per-
   /// multiply complex arithmetic).
   void line_fft(Complex* a, bool inverse) const;
 
   std::size_t n_;
-  int log2n_;
-  std::vector<double> tw_;          ///< per-stage twiddles (forward sign)
-  std::vector<std::uint32_t> rev_;  ///< bit-reversal permutation
+  std::vector<std::uint8_t> radix_;  ///< stage radices, 3s then 2s
+  /// Per-stage twiddles (forward sign): a radix-2 stage combining
+  /// length-m transforms holds w^j, a radix-3 stage w^j then w^2j, for
+  /// j < m and w = exp(-2 pi i / (radix m)).
+  std::vector<double> tw_;
+  /// Digit-reversal permutation as a swap sequence (index pairs applied
+  /// in order); for a power of two, the bit-reversal swaps.
+  std::vector<std::uint32_t> swaps_;
+  std::uint64_t line_flops_ = 0;  ///< flops of one line FFT
 };
 
-/// Smallest power of two >= x. Throws CheckFailure if x exceeds the
-/// largest size_t power of two (no silent wraparound).
-std::size_t next_pow2(std::size_t x);
+/// The V-list FFT grid edge for a lattice that needs at least `min`
+/// points per axis: the smallest multiple of 4 of the form 2^a * 3^b
+/// that is >= min (4, 8, 12, 16, 24, ...). A multiple of 4 keeps every
+/// half spectrum a multiple of 16 complex values. Throws CheckFailure
+/// past Fft3d::kMaxN.
+std::size_t grid_size(std::size_t min);
 
 /// Pointwise multiply-accumulate in frequency space:
 /// acc[i] += g[i] * f[i]. This is the "diagonal translation" the paper

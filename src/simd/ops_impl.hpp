@@ -179,6 +179,90 @@ void fft_bfly_t(double* u, double* b, const double* tw, double sgn,
 }
 
 // ---------------------------------------------------------------------------
+// fft_bfly3: one radix-3 butterfly block over m interleaved complex
+// values per leg. With x1 = a1 * w1, x2 = a2 * w2 (twiddle imaginary
+// parts times sgn, as in fft_bfly), t = x1 + x2 and d = x1 - x2:
+//   a0 = x0 + t,  a1 = x0 - t/2 + i s d,  a2 = x0 - t/2 - i s d,
+// s = -sgn sin(60 deg), the imaginary part of w3 = exp(-sgn 2 pi i / 3).
+// In the interleaved layout i s d is swap_pairs(d) * (-s, s).
+// ---------------------------------------------------------------------------
+
+inline constexpr double kSin60 = 0.86602540378443864676;  // sqrt(3) / 2
+
+template <class P>
+void fft_bfly3_t(double* a0, double* a1, double* a2, const double* tw,
+                 double sgn, std::size_t m) {
+  const double s = -sgn * kSin60;
+  const double* tw2 = tw + 2 * m;
+  if constexpr (P::kWidth == 1) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const double w1r = tw[2 * j], w1i = sgn * tw[2 * j + 1];
+      const double w2r = tw2[2 * j], w2i = sgn * tw2[2 * j + 1];
+      const double b1r = a1[2 * j], b1i = a1[2 * j + 1];
+      const double b2r = a2[2 * j], b2i = a2[2 * j + 1];
+      const double x1r = b1r * w1r - b1i * w1i;
+      const double x1i = b1r * w1i + b1i * w1r;
+      const double x2r = b2r * w2r - b2i * w2i;
+      const double x2i = b2r * w2i + b2i * w2r;
+      const double tr = x1r + x2r, ti = x1i + x2i;
+      const double dr = x1r - x2r, di = x1i - x2i;
+      const double x0r = a0[2 * j], x0i = a0[2 * j + 1];
+      const double mr = x0r - 0.5 * tr, mi = x0i - 0.5 * ti;
+      const double rr = -s * di, ri = s * dr;  // i s d
+      a0[2 * j] = x0r + tr;
+      a0[2 * j + 1] = x0i + ti;
+      a1[2 * j] = mr + rr;
+      a1[2 * j + 1] = mi + ri;
+      a2[2 * j] = mr - rr;
+      a2[2 * j + 1] = mi - ri;
+    }
+  } else {
+    constexpr std::size_t W = P::kWidth;
+    double sbuf[W], rbuf[W];
+    for (std::size_t l = 0; l < W; ++l) {
+      sbuf[l] = (l & 1) ? sgn : 1.0;
+      rbuf[l] = (l & 1) ? s : -s;
+    }
+    const typename P::V vsgn = P::loadu(sbuf);
+    const typename P::V vrot = P::loadu(rbuf);
+    const typename P::V vhalf = P::set1(0.5);
+    // x0, x1 * w1 and x2 * w2 -> the three outputs; `ld` and `st` are
+    // the full-width or masked load/store of one vector of doubles.
+    const auto body = [&](std::size_t i, auto ld, auto st) {
+      const typename P::V w1 = P::mul(ld(tw + i), vsgn);
+      const typename P::V w2 = P::mul(ld(tw2 + i), vsgn);
+      const typename P::V b1 = ld(a1 + i);
+      const typename P::V b2 = ld(a2 + i);
+      const typename P::V x1 = P::fmaddsub(
+          P::dup_even(w1), b1, P::mul(P::dup_odd(w1), P::swap_pairs(b1)));
+      const typename P::V x2 = P::fmaddsub(
+          P::dup_even(w2), b2, P::mul(P::dup_odd(w2), P::swap_pairs(b2)));
+      const typename P::V t = P::add(x1, x2);
+      const typename P::V d = P::sub(x1, x2);
+      const typename P::V x0 = ld(a0 + i);
+      const typename P::V mid = P::sub(x0, P::mul(vhalf, t));
+      const typename P::V rot = P::mul(P::swap_pairs(d), vrot);
+      st(a0 + i, P::add(x0, t));
+      st(a1 + i, P::add(mid, rot));
+      st(a2 + i, P::sub(mid, rot));
+    };
+    const std::size_t nd = 2 * m;
+    std::size_t i = 0;
+    for (; i + W <= nd; i += W)
+      body(
+          i, [](const double* p) { return P::loadu(p); },
+          [](double* p, typename P::V v) { P::storeu(p, v); });
+    if (i < nd) {
+      // nd is even, so the in-pair shuffles never cross the mask edge.
+      const typename P::M mk = P::tail_mask(nd - i);
+      body(
+          i, [mk](const double* p) { return P::maskz_loadu(mk, p); },
+          [mk](double* p, typename P::V v) { P::mask_storeu(p, mk, v); });
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Direct kernels. Shared staging: W targets -> SoA lanes (tail lanes
 // replicate target 0 and are dropped at writeback).
 // ---------------------------------------------------------------------------
@@ -367,6 +451,7 @@ Ops make_ops(Tier tier, const char* name) {
   t.axpyn = &axpyn_t<P>;
   t.cmac = &cmac_t<P>;
   t.fft_bfly = &fft_bfly_t<P>;
+  t.fft_bfly3 = &fft_bfly3_t<P>;
   t.laplace = &direct_laplace_t<P>;
   t.laplace_grad = &direct_laplace_grad_t<P>;
   t.stokes = &direct_stokes_t<P>;

@@ -70,6 +70,14 @@ struct Ops {
   void (*fft_bfly)(double* u, double* b, const double* tw, double sgn,
                    std::size_t half);
 
+  /// One radix-3 butterfly block over `m` interleaved complex values
+  /// per leg: x0 = a0[j], x1 = a1[j] * w1[j], x2 = a2[j] * w2[j] with
+  /// w1 = tw[j], w2 = tw[m + j] (forward-sign twiddles, imaginary parts
+  /// times sgn), then the 3-point DFT a_q[j] = sum_r x_r w3^(q r),
+  /// w3 = exp(-sgn 2 pi i / 3).
+  void (*fft_bfly3)(double* a0, double* a1, double* a2, const double* tw,
+                    double sgn, std::size_t m);
+
   /// Direct-summation kernels (xyz-interleaved points; f accumulated,
   /// target-major with the kernel's natural component stride).
   /// Coincident target/source pairs contribute zero (r2 == 0 lane

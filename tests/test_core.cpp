@@ -174,43 +174,48 @@ INSTANTIATE_TEST_SUITE_P(Kernels, OperatorTest,
 
 TEST(Operators, FftM2LMatchesDenseM2L) {
   // The diagonal (FFT) translation and the dense matrix must agree on
-  // the resulting check potentials for every tested offset.
+  // the resulting check potentials for every tested offset, on power-of-
+  // two grids (n = 4, 8 -> 8^3, 16^3) and mixed-radix ones (n = 5, 6 ->
+  // 12^3).
   kernels::LaplaceKernel kernel;
-  FmmOptions opts;
-  opts.surface_n = 4;
-  const Tables t(kernel, opts);
-  Rng rng(9);
-  std::vector<double> u(t.eq_len());
-  for (auto& v : u) v = rng.uniform(-1, 1);
+  for (int sn : {4, 5, 6, 8}) {
+    FmmOptions opts;
+    opts.surface_n = sn;
+    const Tables t(kernel, opts);
+    Rng rng(9);
+    std::vector<double> u(t.eq_len());
+    for (auto& v : u) v = rng.uniform(-1, 1);
 
-  const std::size_t len = t.spectrum_len();
-  const std::size_t s = t.n();
-  const auto& embed = t.embed_index();
-  std::vector<fft::Complex> line(t.fft_n());
+    const std::size_t len = t.spectrum_len();
+    const std::size_t s = t.n();
+    const auto& embed = t.embed_index();
+    std::vector<fft::Complex> line(t.fft_n());
 
-  for (auto [dx, dy, dz] : std::vector<std::array<int, 3>>{
-           {2, 0, 0}, {-2, 1, 0}, {3, -3, 3}, {0, 2, -1}, {-3, 0, 2}}) {
-    const int off = offset_index(dx, dy, dz);
-    // Dense path.
-    const la::Matrix& m = t.m2l_dense(0, off);
-    std::vector<double> dense_out(t.check_len(), 0.0);
-    la::gemv_acc(m, u, dense_out);
+    for (auto [dx, dy, dz] : std::vector<std::array<int, 3>>{
+             {2, 0, 0}, {-2, 1, 0}, {3, -3, 3}, {0, 2, -1}, {-3, 0, 2}}) {
+      const int off = offset_index(dx, dy, dz);
+      // Dense path.
+      const la::Matrix& m = t.m2l_dense(0, off);
+      std::vector<double> dense_out(t.check_len(), 0.0);
+      la::gemv_acc(m, u, dense_out);
 
-    // FFT path (pruned real transforms on half spectra).
-    std::vector<double> cube(s * s * s, 0.0);
-    for (int k = 0; k < t.m(); ++k) cube[embed[k]] = u[k];
-    std::vector<fft::Complex> spec(len);
-    t.fft().forward_r2c(cube, s, spec, line);
-    std::vector<fft::Complex> acc(len, fft::Complex(0, 0));
-    fft::pointwise_mac(t.m2l_spectra(0, off), spec, acc);
-    t.fft().inverse_c2r(acc, s, cube, line);
-    std::vector<double> fft_out(t.check_len());
-    // Offset sign convention: dense matrix maps source at origin to
-    // target at offset; spectra encode the same displacement.
-    for (int k = 0; k < t.m(); ++k) fft_out[k] = cube[embed[k]];
+      // FFT path (pruned real transforms on half spectra).
+      std::vector<double> cube(s * s * s, 0.0);
+      for (int k = 0; k < t.m(); ++k) cube[embed[k]] = u[k];
+      std::vector<fft::Complex> spec(len);
+      t.fft().forward_r2c(cube, s, spec, line);
+      std::vector<fft::Complex> acc(len, fft::Complex(0, 0));
+      fft::pointwise_mac(t.m2l_spectra(0, off), spec, acc);
+      t.fft().inverse_c2r(acc, s, cube, line);
+      std::vector<double> fft_out(t.check_len());
+      // Offset sign convention: dense matrix maps source at origin to
+      // target at offset; spectra encode the same displacement.
+      for (int k = 0; k < t.m(); ++k) fft_out[k] = cube[embed[k]];
 
-    EXPECT_LT(rel_l2_error(fft_out, dense_out), 1e-10)
-        << "offset " << dx << "," << dy << "," << dz;
+      EXPECT_LT(rel_l2_error(fft_out, dense_out), 1e-10)
+          << "n=" << sn << " grid=" << t.fft_n() << " offset " << dx << ","
+          << dy << "," << dz;
+    }
   }
 }
 

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <utility>
 
 #include "fft/fft.hpp"
 #include "util/rng.hpp"
@@ -25,7 +26,8 @@ double max_err(std::span<const Complex> a, std::span<const Complex> b) {
   return m;
 }
 
-/// O(n^2) reference DFT.
+/// O(n^2) reference DFT, for any n (fft_inplace is the power-of-two
+/// reference).
 std::vector<Complex> dft(std::span<const Complex> a, bool inverse) {
   const std::size_t n = a.size();
   std::vector<Complex> out(n);
@@ -99,94 +101,100 @@ TEST(Fft, LinearityHolds) {
 }
 
 TEST(Fft3d, RoundTrip) {
-  Fft3d plan(8);
-  auto vol = random_signal(plan.volume(), 9);
-  auto orig = vol;
-  plan.forward(vol);
-  plan.inverse(vol);
-  EXPECT_LT(max_err(vol, orig), 1e-11);
+  for (std::size_t n : {8u, 12u, 16u, 24u}) {
+    Fft3d plan(n);
+    auto vol = random_signal(plan.volume(), 9 + n);
+    auto orig = vol;
+    plan.forward(vol);
+    plan.inverse(vol);
+    EXPECT_LT(max_err(vol, orig), 1e-11) << "n=" << n;
+  }
 }
 
 TEST(Fft3d, SeparableProductTransform) {
   // FFT of a separable function f(x,y,z) = gx(x) gy(y) gz(z) is the
-  // tensor product of 1-D FFTs.
-  const std::size_t n = 8;
-  auto gx = random_signal(n, 11), gy = random_signal(n, 12),
-       gz = random_signal(n, 13);
-  Fft3d plan(n);
-  std::vector<Complex> vol(plan.volume());
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      for (std::size_t x = 0; x < n; ++x)
-        vol[(z * n + y) * n + x] = gx[x] * gy[y] * gz[z];
-  plan.forward(vol);
-  auto fx = gx, fy = gy, fz = gz;
-  fft_inplace(fx, false);
-  fft_inplace(fy, false);
-  fft_inplace(fz, false);
-  double err = 0.0;
-  for (std::size_t z = 0; z < n; ++z)
-    for (std::size_t y = 0; y < n; ++y)
-      for (std::size_t x = 0; x < n; ++x)
-        err = std::max(err, std::abs(vol[(z * n + y) * n + x] -
-                                     fx[x] * fy[y] * fz[z]));
-  EXPECT_LT(err, 1e-10);
+  // tensor product of 1-D DFTs, forward and inverse. The sizes cover
+  // every mix of radix-3 and radix-2 stages up to three of each.
+  for (std::size_t n : {1u, 2u, 3u, 4u, 6u, 8u, 9u, 12u, 16u, 18u, 24u, 27u,
+                        36u}) {
+    auto gx = random_signal(n, 11 + n), gy = random_signal(n, 12 + n),
+         gz = random_signal(n, 13 + n);
+    Fft3d plan(n);
+    for (bool inverse : {false, true}) {
+      std::vector<Complex> vol(plan.volume());
+      for (std::size_t z = 0; z < n; ++z)
+        for (std::size_t y = 0; y < n; ++y)
+          for (std::size_t x = 0; x < n; ++x)
+            vol[(z * n + y) * n + x] = gx[x] * gy[y] * gz[z];
+      inverse ? plan.inverse(vol) : plan.forward(vol);
+      const auto fx = dft(gx, inverse), fy = dft(gy, inverse),
+                 fz = dft(gz, inverse);
+      double err = 0.0;
+      for (std::size_t z = 0; z < n; ++z)
+        for (std::size_t y = 0; y < n; ++y)
+          for (std::size_t x = 0; x < n; ++x)
+            err = std::max(err, std::abs(vol[(z * n + y) * n + x] -
+                                         fx[x] * fy[y] * fz[z]));
+      EXPECT_LT(err, 1e-10) << "n=" << n << " inverse=" << inverse;
+    }
+  }
 }
 
 TEST(Fft3d, CircularConvolutionViaFrequencyProduct) {
   // IFFT(FFT(f) .* FFT(g)) equals the circular convolution of f and g.
-  const std::size_t n = 4;
-  Fft3d plan(n);
-  auto f = random_signal(plan.volume(), 21);
-  auto g = random_signal(plan.volume(), 22);
+  for (std::size_t n : {4u, 6u}) {
+    Fft3d plan(n);
+    auto f = random_signal(plan.volume(), 21);
+    auto g = random_signal(plan.volume(), 22);
 
-  // Direct circular convolution.
-  std::vector<Complex> direct(plan.volume(), Complex(0, 0));
-  auto idx = [&](std::size_t x, std::size_t y, std::size_t z) {
-    return (z * n + y) * n + x;
-  };
-  for (std::size_t az = 0; az < n; ++az)
-    for (std::size_t ay = 0; ay < n; ++ay)
-      for (std::size_t ax = 0; ax < n; ++ax)
-        for (std::size_t bz = 0; bz < n; ++bz)
-          for (std::size_t by = 0; by < n; ++by)
-            for (std::size_t bx = 0; bx < n; ++bx)
-              direct[idx(ax, ay, az)] +=
-                  f[idx(bx, by, bz)] *
-                  g[idx((ax - bx + n) % n, (ay - by + n) % n,
-                        (az - bz + n) % n)];
+    // Direct circular convolution.
+    std::vector<Complex> direct(plan.volume(), Complex(0, 0));
+    auto idx = [&](std::size_t x, std::size_t y, std::size_t z) {
+      return (z * n + y) * n + x;
+    };
+    for (std::size_t az = 0; az < n; ++az)
+      for (std::size_t ay = 0; ay < n; ++ay)
+        for (std::size_t ax = 0; ax < n; ++ax)
+          for (std::size_t bz = 0; bz < n; ++bz)
+            for (std::size_t by = 0; by < n; ++by)
+              for (std::size_t bx = 0; bx < n; ++bx)
+                direct[idx(ax, ay, az)] +=
+                    f[idx(bx, by, bz)] *
+                    g[idx((ax - bx + n) % n, (ay - by + n) % n,
+                          (az - bz + n) % n)];
 
-  auto fh = f, gh = g;
-  plan.forward(fh);
-  plan.forward(gh);
-  std::vector<Complex> prod(plan.volume(), Complex(0, 0));
-  pointwise_mac(gh, fh, prod);
-  plan.inverse(prod);
-  EXPECT_LT(max_err(prod, direct), 1e-10);
+    auto fh = f, gh = g;
+    plan.forward(fh);
+    plan.forward(gh);
+    std::vector<Complex> prod(plan.volume(), Complex(0, 0));
+    pointwise_mac(gh, fh, prod);
+    plan.inverse(prod);
+    EXPECT_LT(max_err(prod, direct), 1e-10) << "n=" << n;
+  }
 }
 
-TEST(NextPow2, Values) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(7), 8u);
-  EXPECT_EQ(next_pow2(8), 8u);
-  EXPECT_EQ(next_pow2(11), 16u);
-  EXPECT_EQ(next_pow2(15), 16u);
+TEST(GridSize, SurfaceOrderTable) {
+  // The V-list grid for surface order n needs 2n-1 points per axis.
+  const std::size_t want[] = {8, 8, 12, 12, 16, 16, 24, 24};
+  for (std::size_t n = 3; n <= 10; ++n) {
+    const std::size_t g = grid_size(2 * n - 1);
+    EXPECT_EQ(g, want[n - 3]) << "n=" << n;
+    // The V-list MAC sweeps 16-frequency chunks of the half spectrum.
+    EXPECT_EQ(Fft3d(g).half_volume() % 16, 0u) << "n=" << n;
+  }
+  for (std::size_t m = 0; m <= 4; ++m) EXPECT_EQ(grid_size(m), 4u);
+  EXPECT_EQ(grid_size(25), 32u);
+  EXPECT_EQ(grid_size(33), 36u);
 }
 
-TEST(NextPow2, LargestPowerOfTwoIsFixpoint) {
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_EQ(next_pow2(kMaxPow2), kMaxPow2);
-  EXPECT_EQ(next_pow2(kMaxPow2 - 1), kMaxPow2);
+TEST(GridSize, LargestGridIsFixpoint) {
+  EXPECT_EQ(grid_size(Fft3d::kMaxN), Fft3d::kMaxN);
+  EXPECT_EQ(grid_size(Fft3d::kMaxN - 1), Fft3d::kMaxN);
 }
 
-TEST(NextPow2, RejectsUnrepresentableRequest) {
-  // Above the top power of two the doubling loop used to overflow p to
-  // zero and spin forever; it must throw instead.
-  constexpr std::size_t kMaxPow2 =
-      std::numeric_limits<std::size_t>::max() / 2 + 1;
-  EXPECT_ANY_THROW(next_pow2(kMaxPow2 + 1));
-  EXPECT_ANY_THROW(next_pow2(std::numeric_limits<std::size_t>::max()));
+TEST(GridSize, RejectsRequestPastMaxN) {
+  EXPECT_ANY_THROW(grid_size(Fft3d::kMaxN + 1));
+  EXPECT_ANY_THROW(grid_size(std::numeric_limits<std::size_t>::max()));
 }
 
 TEST(PointwiseMac, Accumulates) {
@@ -218,9 +226,10 @@ TEST(PointwiseMacChunked, MatchesPerEntryMac) {
 }
 
 TEST(Fft3d, TransformFlopsPositiveAndScales) {
-  Fft3d a(8), b(16);
+  Fft3d a(8), b(12), c(16);
   EXPECT_GT(a.transform_flops(), 0u);
   EXPECT_GT(b.transform_flops(), a.transform_flops());
+  EXPECT_GT(c.transform_flops(), b.transform_flops());
 }
 
 /// Random real s^3 support cube.
@@ -253,11 +262,11 @@ double max_abs(std::span<const Complex> v) {
 }
 
 TEST(Fft3dReal, ForwardR2cMatchesC2cHalfSpectrum) {
-  for (std::size_t n : {8u, 16u}) {
+  for (std::size_t n : {8u, 12u, 16u, 24u}) {
     const Fft3d plan(n);
     const std::size_t hx = n / 2 + 1;
     std::vector<Complex> half(plan.half_volume()), line(n);
-    for (std::size_t s = 3; s <= n / 2 + 1; ++s) {
+    for (std::size_t s = 1; s <= n; ++s) {
       const auto cube = random_cube(s, 1000 * n + s);
       const auto full = c2c_spectrum(plan, cube, s);
       plan.forward_r2c(cube, s, half, line);
@@ -273,14 +282,14 @@ TEST(Fft3dReal, ForwardR2cMatchesC2cHalfSpectrum) {
 }
 
 TEST(Fft3dReal, InverseC2rMatchesC2cOnSupportCube) {
-  for (std::size_t n : {8u, 16u}) {
+  for (std::size_t n : {8u, 12u, 16u, 24u}) {
     const Fft3d plan(n);
     const std::size_t hx = n / 2 + 1;
     std::vector<Complex> half(plan.half_volume()), line(n);
     // A Hermitian spectrum: the transform of a real volume with full
     // support, as the V-list accumulators are.
     auto full = c2c_spectrum(plan, random_cube(n, 77 + n), n);
-    for (std::size_t s = 3; s <= n / 2 + 1; ++s) {
+    for (std::size_t s = 1; s <= n; ++s) {
       for (std::size_t kz = 0; kz < n; ++kz)
         for (std::size_t ky = 0; ky < n; ++ky)
           for (std::size_t kx = 0; kx < hx; ++kx)
@@ -303,7 +312,8 @@ TEST(Fft3dReal, InverseC2rMatchesC2cOnSupportCube) {
 }
 
 TEST(Fft3dReal, RoundTripRecoversSupportCube) {
-  for (std::size_t n : {8u, 16u})
+  // 9: an odd grid has no Nyquist bin.
+  for (std::size_t n : {8u, 9u, 12u, 16u, 24u})
     for (std::size_t s : {std::size_t(1), std::size_t(3), n / 2 + 1, n}) {
       const Fft3d plan(n);
       std::vector<Complex> half(plan.half_volume()), line(n);
@@ -319,15 +329,20 @@ TEST(Fft3dReal, RoundTripRecoversSupportCube) {
 }
 
 TEST(Fft3dReal, FlopsCountLinesRunPlusPacking) {
-  // At the default surface order (s = 6 on the 16^3 grid) the pruned
-  // pair runs 18 packed x lines, 6*9 y lines and 16*9 z lines each way,
-  // against 3*256 lines for a c2c transform.
-  const Fft3d plan(16);
-  EXPECT_EQ(plan.real_lines(6), 216u);
-  for (std::size_t n : {8u, 16u}) {
+  // At the default surface order (s = 6 on the 12^3 grid) the pruned
+  // pair runs 18 packed x lines, 6*7 y lines and 12*7 z lines each way,
+  // against 3*144 lines for a c2c transform (216 of 768 on a 16^3 grid).
+  EXPECT_EQ(Fft3d(12).real_lines(6), 144u);
+  EXPECT_EQ(Fft3d(16).real_lines(6), 216u);
+  // Line FFT model: 10 flops per radix-2 butterfly (5 n log2 n for a
+  // power of two) and 28 per radix-3 butterfly. n = 12 runs one
+  // radix-3 stage (4 butterflies) and two radix-2 stages (6 each).
+  for (auto [n, line_flops] :
+       {std::pair<std::size_t, std::uint64_t>{8, 5 * 8 * 3},
+        {12, 4 * 28 + 2 * 6 * 10},
+        {16, 5 * 16 * 4}}) {
     const Fft3d p(n);
-    const std::uint64_t line_flops =
-        5ull * n * static_cast<std::uint64_t>(std::countr_zero(n));
+    EXPECT_EQ(p.transform_flops(), 3ull * n * n * line_flops) << n;
     const std::uint64_t hx = n / 2 + 1;
     for (std::size_t s = 1; s <= n; ++s) {
       const std::uint64_t packed = (s * s + 1) / 2;
@@ -351,6 +366,16 @@ TEST(Fft3dReal, RejectsBadShapes) {
   EXPECT_ANY_THROW(plan.inverse_c2r(
       std::span<Complex>(half.data(), half.size() - 1), 3, cube, line));
   EXPECT_ANY_THROW(Fft3d(2 * Fft3d::kMaxN));
+  // 10 has the factor 5; the message names the supported sizes.
+  for (std::size_t bad : {10u, 0u}) {
+    try {
+      Fft3d p(bad);
+      ADD_FAILURE() << "Fft3d(" << bad << ") did not throw";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("2^a * 3^b"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Fft, ParsevalIdentityHolds) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <numbers>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernel.hpp"
@@ -85,6 +86,7 @@ TEST(SimdTier, TableShapePerTier) {
     EXPECT_NE(o.axpyn, nullptr);
     EXPECT_NE(o.cmac, nullptr);
     EXPECT_NE(o.fft_bfly, nullptr);
+    EXPECT_NE(o.fft_bfly3, nullptr);
     EXPECT_NE(o.laplace, nullptr);
     EXPECT_NE(o.laplace_grad, nullptr);
     EXPECT_NE(o.stokes, nullptr);
@@ -293,6 +295,93 @@ TEST_F(SimdTest, FftBflyMatchesScalarButterflies) {
             EXPECT_EQ(b[i], bref[i]) << "half=" << half << " i=" << i;
           }
         }
+      }
+    }
+  }
+}
+
+// Reference: the scalar radix-3 butterfly block, same association as
+// the scalar tier (x0 - t/2 +- i s d, s = -sgn sqrt(3)/2).
+void fft_bfly3_ref(double* a0, double* a1, double* a2, const double* tw,
+                   double sgn, std::size_t m) {
+  const double s = -sgn * 0.86602540378443864676;
+  for (std::size_t j = 0; j < m; ++j) {
+    double x[3][2] = {{a0[2 * j], a0[2 * j + 1]}, {}, {}};
+    double* legs[2] = {a1, a2};
+    for (int r = 0; r < 2; ++r) {
+      const double wr = tw[2 * (r * m + j)];
+      const double wi = sgn * tw[2 * (r * m + j) + 1];
+      const double br = legs[r][2 * j], bi = legs[r][2 * j + 1];
+      x[r + 1][0] = br * wr - bi * wi;
+      x[r + 1][1] = br * wi + bi * wr;
+    }
+    const double tr = x[1][0] + x[2][0], ti = x[1][1] + x[2][1];
+    const double dr = x[1][0] - x[2][0], di = x[1][1] - x[2][1];
+    const double mr = x[0][0] - 0.5 * tr, mi = x[0][1] - 0.5 * ti;
+    a0[2 * j] = x[0][0] + tr;
+    a0[2 * j + 1] = x[0][1] + ti;
+    a1[2 * j] = mr + -s * di;
+    a1[2 * j + 1] = mi + s * dr;
+    a2[2 * j] = mr - -s * di;
+    a2[2 * j + 1] = mi - s * dr;
+  }
+}
+
+/// Twiddles w1[0, m) then w2[0, m) restricted to butterflies [b, e).
+std::vector<double> bfly3_twiddles(const std::vector<double>& tw,
+                                   std::size_t m, std::size_t b,
+                                   std::size_t e) {
+  std::vector<double> out(tw.begin() + 2 * b, tw.begin() + 2 * e);
+  out.insert(out.end(), tw.begin() + 2 * (m + b), tw.begin() + 2 * (m + e));
+  return out;
+}
+
+TEST_F(SimdTest, FftBfly3MatchesScalarButterfliesAndSplits) {
+  // m straddles every vector width; the mixed-radix line FFT uses
+  // m = 3^k * 2^j. Within a tier a block split into two calls must be
+  // bitwise identical to one call (masked tails do the body's math).
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u, 12u, 27u, 31u}) {
+    for (const double sgn : {1.0, -1.0}) {
+      std::vector<double> a0 = random_vec(2 * m, 19 * m, -1.0, 1.0);
+      const auto a1 = random_vec(2 * m, 23 * m, -1.0, 1.0);
+      const auto a2 = random_vec(2 * m, 29 * m, -1.0, 1.0);
+      auto tw = random_vec(4 * m, 31 * m, -1.0, 1.0);
+      for (std::size_t j = 0; j < 2 * m; ++j) {
+        const double norm =
+            std::sqrt(tw[2 * j] * tw[2 * j] + tw[2 * j + 1] * tw[2 * j + 1]);
+        tw[2 * j] /= norm;
+        tw[2 * j + 1] /= norm;
+      }
+      std::vector<double> ref[3] = {a0, a1, a2};
+      fft_bfly3_ref(ref[0].data(), ref[1].data(), ref[2].data(), tw.data(),
+                    sgn, m);
+
+      for (Tier t : available_tiers()) {
+        const Ops& o = ops_for_tier(t);
+        std::vector<double> got[3] = {a0, a1, a2};
+        o.fft_bfly3(got[0].data(), got[1].data(), got[2].data(), tw.data(),
+                    sgn, m);
+        for (int q = 0; q < 3; ++q) {
+          EXPECT_LT(rel_err(got[q], ref[q]), 1e-12)
+              << tier_name(t) << " m=" << m << " sgn=" << sgn << " leg=" << q;
+          if (t == Tier::kScalar) {
+            for (std::size_t i = 0; i < 2 * m; ++i)
+              EXPECT_EQ(got[q][i], ref[q][i]) << "m=" << m << " i=" << i;
+          }
+        }
+        if (m < 2) continue;
+        const std::size_t cut = m / 2;
+        std::vector<double> split[3] = {a0, a1, a2};
+        for (auto [b, e] : {std::pair<std::size_t, std::size_t>{0, cut},
+                            {cut, m}}) {
+          const auto tws = bfly3_twiddles(tw, m, b, e);
+          o.fft_bfly3(split[0].data() + 2 * b, split[1].data() + 2 * b,
+                      split[2].data() + 2 * b, tws.data(), sgn, e - b);
+        }
+        for (int q = 0; q < 3; ++q)
+          for (std::size_t i = 0; i < 2 * m; ++i)
+            EXPECT_EQ(split[q][i], got[q][i])
+                << tier_name(t) << " m=" << m << " leg=" << q << " i=" << i;
       }
     }
   }
