@@ -226,17 +226,6 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
     ph.set("flops", series_json(flops));
     ph.set("msgs", static_cast<std::int64_t>(msgs));
     ph.set("bytes", static_cast<std::int64_t>(bytes));
-    // Max across ranks of the process VmHWM advance while the phase
-    // was open (ranks share one address space, so deltas overlap —
-    // max, not sum, is the honest per-phase figure).
-    double rss_delta = 0.0;
-    for (const auto& rep : reports) {
-      const auto it =
-          rep.obs.counters.find("mem." + name + ".peak_rss_delta_bytes");
-      if (it != rep.obs.counters.end())
-        rss_delta = std::max(rss_delta, it->second);
-    }
-    ph.set("peak_rss_delta_bytes", rss_delta);
     phases.set(name, std::move(ph));
   }
   run.set("phases", std::move(phases));
@@ -303,16 +292,6 @@ std::vector<double> Experiment::phase_cpu(const std::string& prefix) const {
   out.reserve(reports.size());
   for (const auto& rep : reports)
     out.push_back(sum_phase_prefix(rep.cpu_phases, prefix));
-  return out;
-}
-
-std::vector<double> Experiment::obs_counter(const std::string& name) const {
-  std::vector<double> out;
-  out.reserve(reports.size());
-  for (const auto& rep : reports) {
-    const auto it = rep.obs.counters.find(name);
-    out.push_back(it == rep.obs.counters.end() ? 0.0 : it->second);
-  }
   return out;
 }
 

@@ -61,12 +61,6 @@ struct Experiment {
   /// modeled comm term — the denominator for achieved-flop-rate math).
   std::vector<double> phase_cpu(const std::string& prefix) const;
 
-  /// Per-rank value of an obs counter by EXACT name (0 where a rank
-  /// never recorded it). Use for the `hw.<phase>.*` / `mem.<phase>.*`
-  /// counters, which are inclusive per span name and must not be
-  /// prefix-summed (obs/export.hpp).
-  std::vector<double> obs_counter(const std::string& name) const;
-
   /// Per-rank modeled communication time over matching phases.
   std::vector<double> comm_times(const std::string& prefix) const;
 

@@ -30,21 +30,12 @@ Summary run_series(octree::Distribution dist, const char* label, int p,
   std::printf("-- %s: per-rank evaluation flops\n", label);
   const auto flops = exp.phase_flops("eval.");
   const auto cpu = exp.phase_cpu("eval.");
-  // hw.eval.cycles is recorded only when perf counters are live on the
-  // rank's thread (all-zero under the getrusage fallback).
-  const auto cycles = exp.obs_counter("hw.eval.cycles");
-  const bool have_cycles =
-      std::any_of(cycles.begin(), cycles.end(), [](double c) { return c > 0; });
   const double vmax = *std::max_element(flops.begin(), flops.end());
   std::vector<double> gfs(p, 0.0);
   for (int r = 0; r < p; ++r) {
     gfs[r] = cpu[r] > 0 ? flops[r] / cpu[r] / 1e9 : 0.0;
-    std::string hw;
-    if (have_cycles && cycles[r] > 0)
-      hw = "  " + fixed(flops[r] / cycles[r], 2) + " F/cyc";
-    std::printf("  rank %2d : %s  %s GF/s%s  %s\n", r, sci(flops[r]).c_str(),
-                fixed(gfs[r], 2).c_str(), hw.c_str(),
-                bar(flops[r], vmax, 32).c_str());
+    std::printf("  rank %2d : %s  %s GF/s  %s\n", r, sci(flops[r]).c_str(),
+                fixed(gfs[r], 2).c_str(), bar(flops[r], vmax, 32).c_str());
   }
   const Summary s = Summary::of(flops);
   const Summary sg = Summary::of(gfs);
@@ -52,9 +43,8 @@ Summary run_series(octree::Distribution dist, const char* label, int p,
               sci(s.max).c_str(), sci(s.avg).c_str(), sci(s.stddev).c_str(),
               s.imbalance());
   std::printf(
-      "  achieved GFLOP/s (flops / measured eval CPU-s): max %.2f  avg %.2f%s\n\n",
-      sg.max, sg.avg,
-      have_cycles ? "" : "  [no perf counters: F/cyc unavailable]");
+      "  achieved GFLOP/s (flops / measured eval CPU-s): max %.2f  avg %.2f\n\n",
+      sg.max, sg.avg);
   return s;
 }
 

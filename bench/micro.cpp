@@ -388,7 +388,6 @@ int main(int argc, char** argv) {
     rec.set("git_sha", git_sha);
     rec.set("nranks", std::int64_t{1});
     rec.set("nruns", static_cast<std::int64_t>(runs.size()));
-    rec.set("hw_source", "none");  // no per-phase hw counters here
     obs::Json config = obs::Json::object();
     config.set("threads", std::int64_t{threads});
     rec.set("config", std::move(config));

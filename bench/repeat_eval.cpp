@@ -27,6 +27,7 @@
 #include <exception>
 
 #include "common.hpp"
+#include "obs/hw.hpp"
 
 using namespace pkifmm;
 using namespace pkifmm::bench;

@@ -9,9 +9,12 @@
 /// times in the caption. Here the same table is produced at simulator
 /// scale (default p = 16, 1500 points/rank).
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "common.hpp"
+#include "obs/hw.hpp"
 
 using namespace pkifmm;
 using namespace pkifmm::bench;
@@ -36,31 +39,20 @@ int main(int argc, char** argv) {
   cfg.opts.clamp_threads = cli.get_bool("clamp", true);
   Experiment exp = run_fmm(cfg, "stokes");
 
-  Table table({"Event", "Max. Time", "Avg. Time", "Max. Flops", "Avg. Flops",
-               "Max RSSd"});
+  Table table({"Event", "Max. Time", "Avg. Time", "Max. Flops", "Avg. Flops"});
   auto row = [&](const char* name, std::initializer_list<const char*> prefixes) {
     // Per-rank sums over the listed phases, then Max/Avg across ranks.
-    // The RSS column is the max across ranks of the process peak-RSS
-    // advance while the phase was open (mem.<phase>.peak_rss_delta_bytes
-    // is keyed by EXACT span name — "eval." means the inclusive "eval"
-    // root span, not a sum over children).
-    std::vector<double> t(p, 0.0), f(p, 0.0), rss(p, 0.0);
+    std::vector<double> t(p, 0.0), f(p, 0.0);
     for (const char* pre : prefixes) {
       const auto pt = exp.phase_times(pre);
       const auto pf = exp.phase_flops(pre);
-      std::string span = pre;
-      if (!span.empty() && span.back() == '.') span.pop_back();
-      const auto pr = exp.obs_counter("mem." + span + ".peak_rss_delta_bytes");
       for (int r = 0; r < p; ++r) {
         t[r] += pt[r];
         f[r] += pf[r];
-        rss[r] += pr[r];
       }
     }
-    const Summary st = Summary::of(t), sf = Summary::of(f),
-                  sr = Summary::of(rss);
-    table.add_row({name, sci(st.max), sci(st.avg), sci(sf.max), sci(sf.avg),
-                   sci(sr.max)});
+    const Summary st = Summary::of(t), sf = Summary::of(f);
+    table.add_row({name, sci(st.max), sci(st.avg), sci(sf.max), sci(sf.avg)});
   };
 
   row("Total eval", {"eval."});
@@ -79,13 +71,21 @@ int main(int argc, char** argv) {
     std::vector<double> t(p);
     for (int r = 0; r < p; ++r) t[r] = te[r] - tc[r];
     const Summary st = Summary::of(t), sf = Summary::of(fe);
-    table.add_row({"Comp", sci(st.max), sci(st.avg), sci(sf.max), sci(sf.avg),
-                   "-"});
+    table.add_row({"Comp", sci(st.max), sci(st.avg), sci(sf.max), sci(sf.avg)});
   }
   std::printf("%s\n", table.str().c_str());
-  std::printf("Process peak RSS: %.1f MiB (RSSd = peak-RSS advance while the\n"
-              "phase was open; ranks share one address space, so deltas are\n"
-              "attributed to whichever rank's phase the advance landed in).\n\n",
+
+  // Memory by owner: the byte gauges the LET and the evaluator publish
+  // (mem.let.*, mem.eval.*), max across ranks.
+  std::map<std::string, double> owned;
+  for (const auto& rep : exp.reports)
+    for (const auto& [name, v] : rep.obs.gauges)
+      if (name.starts_with("mem."))
+        owned[name.substr(4)] = std::max(owned[name.substr(4)], v);
+  Table mem({"Owner", "Max. Bytes"});
+  for (const auto& [name, v] : owned) mem.add_row({name, sci(v)});
+  std::printf("%s", mem.str().c_str());
+  std::printf("Process peak RSS: %.1f MiB (ranks share one address space).\n\n",
               static_cast<double>(obs::peak_rss_bytes()) / (1024.0 * 1024.0));
 
   const Summary setup = exp.time_summary("setup.");

@@ -101,25 +101,21 @@ std::vector<RankReport> run_impl(int nranks, int pool_workers,
                                  const std::function<void(RankCtx&)>& fn) {
   PKIFMM_CHECK(nranks >= 1);
   Fabric fabric(nranks);
-  obs::Registry registry;  // per-run, per-rank scoped recorders
   std::vector<RankReport> reports(nranks);
 
   std::mutex err_mu;
   std::exception_ptr first_error;
 
   auto body = [&](int rank) {
+    // Declared first, so it outlives everything below that reports
+    // into it, the task pool included.
+    obs::Recorder rec(rank);
     CostTracker cost;
     PhaseTimer timer;
     FlopCounter flops;
-    obs::Recorder& rec = registry.recorder(rank);
     cost.bind(&rec);
     timer.bind(&rec);
     flops.bind(&rec);
-    // Thread-scoped hardware counters: constructed HERE, on the rank
-    // thread, so the perf fds count this rank's execution. Falls back
-    // to rusage-only sampling where perf_event_open is denied.
-    obs::HwCounters hw;
-    rec.bind_hw(&hw);
     Comm comm(fabric, rank, nranks, cost);
     RankCtx ctx{comm, timer, flops, rec};
     std::unique_ptr<util::TaskPool> pool;
@@ -141,13 +137,10 @@ std::vector<RankReport> run_impl(int nranks, int pool_workers,
     if (pool) pool->fold_stats(rec);  // any scheduler residue since the
                                       // evaluator's own fold
     RankReport& rep = reports[rank];
-    rec.gauge_set("mem.peak_rss_bytes",
-                  static_cast<double>(obs::peak_rss_bytes()));
     rep.obs = rec.snapshot();
     rep.obs.gauges["obs.epoch"] = rec.epoch();
     fold_flat_counters(rep.obs, timer, flops, cost);
-    rec.bind_hw(nullptr);  // hw dies with this scope
-    cost.bind(nullptr);    // the recorder dies with this run
+    cost.bind(nullptr);  // rep.cost outlives the recorder
     rep.cost = std::move(cost);
     rep.time_phases = timer.phases();
     rep.cpu_phases = timer.cpu_phases();

@@ -94,7 +94,7 @@ struct PhaseAgg {
 /// `wait.<q>.seconds` counters: exact name plus children
 /// ("wait.<phase>.<leaf>.seconds"). Each blocked receive is recorded
 /// exactly once, under the cost-tracker phase active at the time, so
-/// the prefix sum never double-counts (unlike hw.*).
+/// the prefix sum never double-counts.
 double wait_seconds_of(const RankMetrics& rm, const std::string& phase) {
   const std::string exact = "wait." + phase + ".seconds";
   double total = 0.0;
@@ -307,6 +307,7 @@ Json summarize_metrics(const std::vector<RankMetrics>& ranks) {
 Json summarize_runs(const std::string& bench,
                     const std::vector<std::vector<RankMetrics>>& runs) {
   std::map<std::string, Accumulator> metric_aggs;
+  std::map<std::string, Accumulator> gauge_aggs;
   std::map<std::string, PhaseAgg> phase_aggs;
   std::map<std::string, MatrixAgg> matrices;
   std::size_t nranks = 0;
@@ -359,6 +360,13 @@ Json summarize_runs(const std::string& bench,
       for (const RankMetrics& rm : ranks) acc.add(counter_of(rm, name));
       metric_aggs[name].merge(acc);
     }
+
+    // ---- gauge stats: only the ranks that set the gauge -------------
+    // A gauge is a level, not a count, so a missing rank is not a 0.
+    // "obs.epoch" is a clock offset, not a measurement.
+    for (const RankMetrics& rm : ranks)
+      for (const auto& [name, v] : rm.gauges)
+        if (name != "obs.epoch") gauge_aggs[name].add(v);
 
     // ---- phase discovery: canonical counters plus span names --------
     std::set<std::string> phases;
@@ -503,6 +511,10 @@ Json summarize_runs(const std::string& bench,
   for (const auto& [name, acc] : metric_aggs) metrics.set(name, stats_json(acc));
   doc.set("metrics", std::move(metrics));
 
+  Json gauges = Json::object();
+  for (const auto& [name, acc] : gauge_aggs) gauges.set(name, stats_json(acc));
+  doc.set("gauges", std::move(gauges));
+
   Json phases = Json::object();
   for (const auto& [name, agg] : phase_aggs) {
     Json ph = Json::object();
@@ -511,7 +523,6 @@ Json summarize_runs(const std::string& bench,
     ph.set("flops", stats_json(agg.flops));
     ph.set("msgs_sent", stats_json(agg.msgs));
     ph.set("bytes_sent", stats_json(agg.bytes));
-    ph.set("critical_path", agg.makespan);
     // Defined only for phases with spans and a nonzero makespan window;
     // omitted otherwise (a fabricated 1.0 for a zero-wall phase would
     // read as "measured, perfectly overlapped").
@@ -529,8 +540,7 @@ Json summarize_runs(const std::string& bench,
       ph.set("decomp", std::move(d));
     }
     if (agg.has_graph) {
-      // Supersedes the epoch-aligned "critical_path" heuristic above:
-      // the true dependency chain through spans + binding message
+      // The true dependency chain through spans + binding message
       // edges, split into compute and transfer legs.
       ph.set("critical_path_graph", agg.graph);
       ph.set("critical_path_graph_compute", agg.graph_compute);
@@ -686,18 +696,25 @@ void validate_summary_json(const Json& doc) {
   const std::int64_t nranks = doc.at("nranks").as_int();
   PKIFMM_CHECK_MSG(nranks >= 0, "negative nranks");
 
-  const Json& metrics = doc.at("metrics");
-  PKIFMM_CHECK(metrics.type() == Json::Type::kObject);
-  for (const std::string& name : metrics.keys()) {
-    for (const char* field : {"min", "max", "avg", "stddev", "sum", "count"})
-      PKIFMM_CHECK_MSG(metrics.at(name).contains(field),
-                       "metric '" << name << "' missing '" << field << "'");
-    // Optional: omitted for degenerate (zero/empty) sample sets, but
-    // must be numeric and finite when present.
-    if (metrics.at(name).contains("imbalance")) {
-      const Json& im = metrics.at(name).at("imbalance");
-      PKIFMM_CHECK_MSG(im.is_number() && std::isfinite(im.as_double()),
-                       "metric '" << name << "' imbalance not finite");
+  // "metrics" is required; "gauges" is optional (summaries written
+  // before it existed still validate).
+  for (const char* section : {"metrics", "gauges"}) {
+    if (!doc.contains(section)) continue;
+    const Json& stats = doc.at(section);
+    PKIFMM_CHECK_MSG(stats.type() == Json::Type::kObject,
+                     "summary '" << section << "' is not an object");
+    for (const std::string& name : stats.keys()) {
+      for (const char* field : {"min", "max", "avg", "stddev", "sum", "count"})
+        PKIFMM_CHECK_MSG(stats.at(name).contains(field),
+                         section << " '" << name << "' missing '" << field
+                                 << "'");
+      // Optional: omitted for degenerate (zero/empty) sample sets, but
+      // must be numeric and finite when present.
+      if (stats.at(name).contains("imbalance")) {
+        const Json& im = stats.at(name).at("imbalance");
+        PKIFMM_CHECK_MSG(im.is_number() && std::isfinite(im.as_double()),
+                         section << " '" << name << "' imbalance not finite");
+      }
     }
   }
 
@@ -710,9 +727,6 @@ void validate_summary_json(const Json& doc) {
       PKIFMM_CHECK_MSG(ph.contains(field) && ph.at(field).contains("sum"),
                        "phase '" << name << "' missing stats '" << field
                                  << "'");
-    PKIFMM_CHECK_MSG(ph.contains("critical_path") &&
-                         ph.at("critical_path").is_number(),
-                     "phase '" << name << "' missing 'critical_path'");
     // Optional: omitted for zero-wall / span-less phases, but must be a
     // finite number when present.
     if (ph.contains("overlap_efficiency")) {

@@ -21,6 +21,10 @@
 ///       "<counter>": { "min", "max", "avg", "stddev", "sum", "count",
 ///                      "imbalance" }, ...
 ///     },
+///     "gauges": {                   // every gauge but "obs.epoch",
+///       "<gauge>": { ...stats... }, // stats across the ranks that set it
+///       ...                         // (mem.let.*, mem.eval.* byte
+///     },                            // footprints, sched.workers)
 ///     "phases": {                   // per-phase cross-rank breakdown
 ///       "<phase>": {
 ///         "wall":  { ...stats... }, // time.<phase>.wall per rank
@@ -28,7 +32,6 @@
 ///         "flops": { ...stats... },
 ///         "msgs_sent":  { ...stats... },
 ///         "bytes_sent": { ...stats... },
-///         "critical_path": <s>,       // cross-rank span makespan
 ///         "overlap_efficiency": <x>,  // busy / (nranks * makespan)
 ///         // present only for --flow-trace runs (obs/flow.hpp):
 ///         "comm_wait": { ...stats... },  // blocked-recv s per rank
@@ -59,8 +62,7 @@
 /// epoch-aligned makespan heuristic with a backward walk over the
 /// cross-rank graph of spans + binding message edges (a receive that
 /// provably waited on a late sender hops the path to that sender), and
-/// splits the path into compute and in-flight transfer legs. The
-/// legacy "critical_path" makespan stays for baseline compatibility.
+/// splits the path into compute and in-flight transfer legs.
 ///
 /// Sources, per phase:
 ///  - wall/cpu come from the canonical `time.<phase>.*` counters when
@@ -69,12 +71,16 @@
 ///    flops/msgs/bytes fall back the same way. Ranks missing a counter
 ///    contribute 0 — imbalance therefore reflects ranks that did no
 ///    work in a phase, exactly like the paper's Max/Avg columns.
-///  - critical_path is the cross-rank makespan of the phase's spans:
-///    max over ranks of absolute span end minus min of absolute span
-///    start, with per-rank recorder epochs ("obs.epoch" gauge) added
-///    back so the timelines align. overlap_efficiency is the fraction
-///    of the p * makespan window the ranks spent inside the phase —
-///    1.0 means perfectly overlapped, 1/p means fully serialized.
+///  - the makespan is the cross-rank window of the phase's spans: max
+///    over ranks of absolute span end minus min of absolute span start,
+///    with per-rank recorder epochs ("obs.epoch" gauge) added back so
+///    the timelines align. overlap_efficiency is the fraction of the
+///    p * makespan window the ranks spent inside the phase — 1.0 means
+///    perfectly overlapped, 1/p means fully serialized. "slack" is
+///    measured against the same window.
+///  - gauges are levels, not counts: a rank that never set a gauge is
+///    left out of its stats rather than counted as 0, and several runs
+///    pool their per-rank values.
 ///  - comm_matrix row r is rank r's per-destination send attribution
 ///    (`commx.<phase>.dst<k>.msgs|bytes` counters), so row sums equal
 ///    the `comm.<phase>.msgs_sent|bytes_sent` counters and column sums
@@ -100,9 +106,9 @@ Json summarize_metrics(const std::vector<RankMetrics>& ranks);
 
 /// Aggregates several runs (e.g. the repetitions a bench records) into
 /// one summary: per-metric/per-phase accumulators are merged across
-/// runs via Accumulator::merge, critical paths add up (runs execute
-/// back to back), and the comm matrices are summed, zero-padded to the
-/// largest run's rank count.
+/// runs via Accumulator::merge, makespans and critical paths add up
+/// (runs execute back to back), and the comm matrices are summed,
+/// zero-padded to the largest run's rank count.
 Json summarize_runs(const std::string& bench,
                     const std::vector<std::vector<RankMetrics>>& runs);
 

@@ -358,9 +358,13 @@ Json merge_chrome_traces(const std::vector<Json>& runs) {
       if (ev.contains("pid")) out.set("pid", ev.at("pid").as_int() + shift);
       // Flow-event ids are only unique within one run; prefix with the
       // run ordinal so arrows never link across repetitions.
-      if (ev.contains("id"))
-        out.set("id", "r" + std::to_string(k) + ":" +
-                          ev.at("id").as_string());
+      if (ev.contains("id")) {
+        const std::string& id = ev.at("id").as_string();
+        std::string prefixed;
+        prefixed.reserve(id.size() + 24);
+        prefixed.append("r").append(std::to_string(k)).append(":").append(id);
+        out.set("id", std::move(prefixed));
+      }
       if (ev.contains("ph") && ev.at("ph").as_string() == "M" &&
           ev.at("name").as_string() == "process_name") {
         Json args = Json::object();
@@ -382,11 +386,6 @@ void write_metrics_json(const std::string& path,
   Json doc = metrics_to_json(ranks);
   validate_metrics_json(doc);
   write_json_file(path, doc);
-}
-
-void write_chrome_trace(const std::string& path,
-                        const std::vector<RankMetrics>& ranks) {
-  write_json_file(path, chrome_trace_json(ranks));
 }
 
 }  // namespace pkifmm::obs

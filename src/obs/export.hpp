@@ -39,26 +39,13 @@
 ///                                            assembles the dense matrix)
 ///   coll.<collective>.calls / .rounds / .msgs / .bytes
 ///
-/// Hardware/memory counters folded at span close while an
-/// obs::HwCounters is bound (obs/hw.hpp; names match span names
-/// EXACTLY and are inclusive of child spans — never prefix-sum them):
-///   hw.<phase>.cycles / .instructions        perf_event_open, only when
-///   hw.<phase>.l1d_misses / .llc_misses      the rank has perf access
-///   hw.<phase>.branch_misses                 (absent under fallback)
-///   hw.<phase>.minor_faults / .major_faults  getrusage(RUSAGE_THREAD),
-///   hw.<phase>.ctx_switches                  always present
-///   mem.<phase>.peak_rss_delta_bytes         process VmHWM advance while
-///                                            the phase was open
-///   hw.ranks_perf / hw.ranks_fallback        1 per rank, by source
 /// and the gauges
 ///   obs.epoch                                recorder epoch on the process
 ///                                            wall clock (aligns per-rank
 ///                                            span timelines)
-///   hw.perf_errno                            errno of the failed
-///                                            perf_event_open (0 = live)
-///   mem.peak_rss_bytes                       process VmHWM at rank exit
-///   mem.let.*, mem.eval.*                    structure footprints
-///                                            (DESIGN.md §5b)
+///   mem.let.*, mem.eval.*                    owner-reported byte footprints
+///                                            (DESIGN.md "Memory telemetry")
+///   sched.workers                            task-pool worker lanes
 ///
 /// The Chrome trace export ("trace_event" JSON-array format, load via
 /// chrome://tracing or Perfetto) maps rank -> pid (with process_name /
@@ -107,10 +94,8 @@ Json chrome_trace_json(const std::vector<RankMetrics>& ranks);
 /// "run<k> rank N".
 Json merge_chrome_traces(const std::vector<Json>& runs);
 
-/// Convenience file writers (schema-validated before writing).
+/// Validates and writes a metrics.json document.
 void write_metrics_json(const std::string& path,
-                        const std::vector<RankMetrics>& ranks);
-void write_chrome_trace(const std::string& path,
                         const std::vector<RankMetrics>& ranks);
 
 }  // namespace pkifmm::obs

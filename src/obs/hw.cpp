@@ -1,172 +1,29 @@
 #include "obs/hw.hpp"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #if defined(__linux__)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
 #include <sys/resource.h>
-#include <sys/syscall.h>
-#include <sys/time.h>
-#include <unistd.h>
-#define PKIFMM_HAVE_PERF 1
-#else
-#define PKIFMM_HAVE_PERF 0
 #endif
 
 namespace pkifmm::obs {
 
-namespace {
-
-#if PKIFMM_HAVE_PERF
-int real_open(std::uint32_t type, std::uint64_t config) {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.type = type;
-  attr.size = sizeof(attr);
-  attr.config = config;
-  attr.disabled = 0;
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
-  // pid = 0, cpu = -1: this thread, any CPU. No group leader — each
-  // event stands alone so one unsupported event (LLC misses on some
-  // VMs) does not take the others down.
-  const long fd =
-      syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0UL);
-  return static_cast<int>(fd);
-}
-#else
-int real_open(std::uint32_t, std::uint64_t) {
-  errno = ENOSYS;
-  return -1;
-}
-#endif
-
-struct EventDesc {
-  std::uint32_t type;
-  std::uint64_t config;
-  HwField field;
-};
-
-#if PKIFMM_HAVE_PERF
-constexpr std::uint64_t kL1dReadMiss =
-    PERF_COUNT_HW_CACHE_L1D | (PERF_COUNT_HW_CACHE_OP_READ << 8) |
-    (PERF_COUNT_HW_CACHE_RESULT_MISS << 16);
-const EventDesc kEventTable[] = {
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES, kHwCycles},
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS, kHwInstructions},
-    {PERF_TYPE_HW_CACHE, kL1dReadMiss, kHwL1dMisses},
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES, kHwLlcMisses},
-    {PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES, kHwBranchMisses},
-};
-#else
-// Types/configs are opaque to the injected opener; field order matters.
-const EventDesc kEventTable[] = {
-    {0, 0, kHwCycles},          {0, 1, kHwInstructions},
-    {0, 2, kHwL1dMisses},       {0, 3, kHwLlcMisses},
-    {0, 4, kHwBranchMisses},
-};
-#endif
-
-bool env_disables_perf() {
-  const char* v = std::getenv("PKIFMM_NO_PERF");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-std::uint64_t read_fd_value(int fd) {
-#if PKIFMM_HAVE_PERF
-  std::uint64_t v = 0;
-  if (read(fd, &v, sizeof(v)) != static_cast<ssize_t>(sizeof(v))) return 0;
-  return v;
-#else
-  (void)fd;
-  return 0;
-#endif
-}
-
-/// Parses "<key>:   <n> kB" from /proc/self/status; returns bytes or 0.
-std::uint64_t proc_status_kb(const char* key) {
+std::uint64_t peak_rss_bytes() {
+  std::uint64_t b = 0;
 #if defined(__linux__)
-  FILE* f = std::fopen("/proc/self/status", "re");
-  if (!f) return 0;
-  const std::size_t klen = std::strlen(key);
-  char line[256];
-  std::uint64_t bytes = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    if (std::strncmp(line, key, klen) == 0 && line[klen] == ':') {
-      bytes = std::strtoull(line + klen + 1, nullptr, 10) * 1024ULL;
-      break;
-    }
-  }
-  std::fclose(f);
-  return bytes;
-#else
-  (void)key;
-  return 0;
-#endif
-}
-
-}  // namespace
-
-HwCounters::HwCounters(bool allow_perf, OpenFn open_fn) {
-  if (!open_fn) open_fn = &real_open;
-  if (allow_perf && !env_disables_perf()) {
-    static_assert(sizeof(kEventTable) / sizeof(kEventTable[0]) == kEvents);
-    for (int i = 0; i < kEvents; ++i) {
-      errno = 0;
-      const int fd = open_fn(kEventTable[i].type, kEventTable[i].config);
-      if (fd >= 0) {
-        fds_[i] = fd;
-        fields_ |= kEventTable[i].field;
-      } else if (i == 0) {
-        // The cycles counter is the canary: if it cannot open, no
-        // hardware event will (EACCES/EPERM: perf_event_paranoid;
-        // ENOSYS/ENOENT: no PMU or seccomp). Record why and stop.
-        perf_errno_ = errno;
+  // "VmHWM:   <n> kB" from /proc/self/status.
+  if (FILE* f = std::fopen("/proc/self/status", "re")) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), f)) {
+      if (std::strncmp(line, "VmHWM:", 6) == 0) {
+        b = std::strtoull(line + 6, nullptr, 10) * 1024ULL;
         break;
       }
     }
+    std::fclose(f);
   }
-  source_ = fields_ ? Source::kPerf : Source::kFallback;
-  fields_ |= kHwFaults;  // rusage works everywhere
-}
-
-HwCounters::~HwCounters() {
-#if PKIFMM_HAVE_PERF
-  for (int fd : fds_)
-    if (fd >= 0) close(fd);
-#endif
-}
-
-HwSample HwCounters::read() const {
-  HwSample s;
-#if PKIFMM_HAVE_PERF
-  if (source_ == Source::kPerf) {
-    std::uint64_t* slots[kEvents] = {&s.cycles, &s.instructions,
-                                     &s.l1d_misses, &s.llc_misses,
-                                     &s.branch_misses};
-    for (int i = 0; i < kEvents; ++i)
-      if (fds_[i] >= 0) *slots[i] = read_fd_value(fds_[i]);
-  }
-  rusage ru{};
-  if (getrusage(RUSAGE_THREAD, &ru) == 0) {
-    s.minor_faults = static_cast<std::uint64_t>(ru.ru_minflt);
-    s.major_faults = static_cast<std::uint64_t>(ru.ru_majflt);
-    s.ctx_switches =
-        static_cast<std::uint64_t>(ru.ru_nvcsw + ru.ru_nivcsw);
-  }
-#endif
-  return s;
-}
-
-std::uint64_t current_rss_bytes() { return proc_status_kb("VmRSS"); }
-
-std::uint64_t peak_rss_bytes() {
-  std::uint64_t b = proc_status_kb("VmHWM");
-#if defined(__linux__)
   if (b == 0) {
     rusage ru{};
     if (getrusage(RUSAGE_SELF, &ru) == 0)

@@ -1,117 +1,16 @@
 #pragma once
 /// \file hw.hpp
-/// \brief Hardware-counter and memory-telemetry sampling for obs spans.
+/// \brief Process peak resident-set size.
 ///
-/// The per-phase breakdown (Table II) says *where* time goes; this
-/// layer says *why*: cycles, instructions, and cache-miss counts per
-/// phase turn "VLI is slow" into "VLI runs at 0.4 IPC with an LLC miss
-/// every 40 instructions — bandwidth-bound", which is how the roofline
-/// section of pkifmm_report classifies phases.
-///
-/// HwCounters opens one perf_event_open(2) fd per event (cycles,
-/// instructions, L1d-read misses, LLC misses, branch misses) attached
-/// to the *calling thread*, so every simulated rank measures its own
-/// rank thread. Containers and locked-down CI commonly refuse the
-/// syscall (EACCES under perf_event_paranoid >= 2 without
-/// CAP_PERFMON, ENOSYS in seccomp sandboxes); in that case the object
-/// degrades to a fallback source that still reports what the kernel
-/// will always give us: minor/major page faults and context switches
-/// from getrusage(RUSAGE_THREAD). Consumers check source() — the
-/// schema marks perf-only fields absent rather than zero.
-///
-/// Memory telemetry is process-wide by nature: current_rss_bytes() and
-/// peak_rss_bytes() parse VmRSS/VmHWM from /proc/self/status (with a
-/// getrusage(RUSAGE_SELF) ru_maxrss fallback for the peak). Recorder
-/// samples the peak at span boundaries, so a phase's
-/// `mem.<phase>.peak_rss_delta_bytes` is the amount the process
-/// high-water mark advanced while that phase was open — attribution is
-/// approximate when several rank threads run phases concurrently
-/// (documented in DESIGN.md §5b).
-///
-/// Thread affinity: the perf fds count the thread that constructed the
-/// HwCounters. Construct it on the rank thread (comm::Runtime does)
-/// and never sample it from another thread. TaskPool worker lanes are
-/// NOT counted — rank-thread counters understate multi-lane phases,
-/// which the roofline report calls out when sched.workers > 0.
+/// The one process-wide memory figure the benches print next to the
+/// owner-reported byte gauges (`mem.let.*`, `mem.eval.*`; DESIGN.md
+/// "Memory telemetry"). Ranks are threads of one process, so the peak
+/// cannot be attributed to a rank or a phase; structures report what
+/// they own instead.
 
 #include <cstdint>
 
 namespace pkifmm::obs {
-
-/// Bitmask of which HwSample fields hold real measurements.
-enum HwField : std::uint32_t {
-  kHwCycles = 1u << 0,
-  kHwInstructions = 1u << 1,
-  kHwL1dMisses = 1u << 2,
-  kHwLlcMisses = 1u << 3,
-  kHwBranchMisses = 1u << 4,
-  kHwFaults = 1u << 5,  ///< minor/major faults + ctx switches (rusage)
-};
-
-/// One point-in-time reading. All fields are monotone totals since the
-/// HwCounters was constructed; consumers take deltas. Fields whose bit
-/// is missing from HwCounters::fields() are zero and must be treated
-/// as unavailable, not as measured-zero.
-struct HwSample {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t l1d_misses = 0;
-  std::uint64_t llc_misses = 0;
-  std::uint64_t branch_misses = 0;
-  std::uint64_t minor_faults = 0;
-  std::uint64_t major_faults = 0;
-  std::uint64_t ctx_switches = 0;  ///< voluntary + involuntary
-};
-
-class HwCounters {
- public:
-  enum class Source {
-    kPerf,      ///< perf_event_open succeeded for at least one event
-    kFallback,  ///< rusage-only (perf denied, unsupported, or off)
-  };
-
-  /// Signature of the injectable event opener (tests simulate EACCES /
-  /// ENOSYS without touching the real syscall). Receives the
-  /// PERF_TYPE_* type and the event config; returns an fd or -1 with
-  /// errno set.
-  using OpenFn = int (*)(std::uint32_t type, std::uint64_t config);
-
-  /// Opens the counters for the calling thread. `allow_perf = false`
-  /// (or the environment variable PKIFMM_NO_PERF=1) skips the syscall
-  /// entirely and forces the fallback source. `open_fn` overrides the
-  /// perf_event_open wrapper for tests; nullptr uses the real syscall.
-  explicit HwCounters(bool allow_perf = true, OpenFn open_fn = nullptr);
-  ~HwCounters();
-
-  HwCounters(const HwCounters&) = delete;
-  HwCounters& operator=(const HwCounters&) = delete;
-
-  Source source() const { return source_; }
-  const char* source_name() const {
-    return source_ == Source::kPerf ? "perf" : "fallback";
-  }
-  /// errno from the failed cycles-counter open when source() is
-  /// kFallback because the syscall failed; 0 when perf is live or was
-  /// never attempted (allow_perf = false).
-  int perf_errno() const { return perf_errno_; }
-  /// Bitmask of HwField values that read() actually measures.
-  std::uint32_t fields() const { return fields_; }
-
-  /// Reads every available counter. Call only from the constructing
-  /// thread (the perf fds and RUSAGE_THREAD are thread-scoped).
-  HwSample read() const;
-
- private:
-  static constexpr int kEvents = 5;
-  int fds_[kEvents] = {-1, -1, -1, -1, -1};
-  Source source_ = Source::kFallback;
-  std::uint32_t fields_ = 0;
-  int perf_errno_ = 0;
-};
-
-/// Current resident-set size of the process (VmRSS), or 0 if
-/// /proc/self/status is unreadable.
-std::uint64_t current_rss_bytes();
 
 /// Peak resident-set size of the process (VmHWM, falling back to
 /// getrusage ru_maxrss). Monotone non-decreasing over process life.

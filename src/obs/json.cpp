@@ -82,8 +82,18 @@ void append_double(std::string& out, double v) {
 }  // namespace
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad = indent > 0 ? "\n" + std::string(std::size_t(indent) * (depth + 1), ' ') : "";
-  const std::string close_pad = indent > 0 ? "\n" + std::string(std::size_t(indent) * depth, ' ') : "";
+  // Newline plus indentation for `level`; empty in compact mode.
+  auto newline_pad = [indent](int level) {
+    std::string s;
+    if (indent > 0) {
+      const std::size_t n = std::size_t(indent) * std::size_t(level);
+      s.reserve(n + 1);
+      s.append(1, '\n').append(n, ' ');
+    }
+    return s;
+  };
+  const std::string pad = newline_pad(depth + 1);
+  const std::string close_pad = newline_pad(depth);
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
@@ -97,7 +107,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       }
       out += '[';
       for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (i) out += indent > 0 ? "," : ",";
+        if (i) out += ',';
         out += pad;
         items_[i].dump_to(out, indent, depth + 1);
       }

@@ -84,13 +84,8 @@ std::size_t Recorder::open_span(std::string name) {
   e.depth = static_cast<std::int32_t>(open_.size());
   const std::size_t idx = metrics_.spans.size();
   metrics_.spans.push_back(std::move(e));
-  OpenSpan o{idx, thread_cpu_seconds(), flops_total_, msgs_total_,
-             bytes_total_, HwSample{}, 0};
-  if (hw_) {
-    o.hw0 = hw_->read();
-    o.rss0 = peak_rss_bytes();
-  }
-  open_.push_back(o);
+  open_.push_back(
+      {idx, thread_cpu_seconds(), flops_total_, msgs_total_, bytes_total_});
   return idx;
 }
 
@@ -105,42 +100,7 @@ const SpanEvent& Recorder::close_span(std::size_t idx) {
   e.flops = flops_total_ - o.flops0;
   e.msgs = msgs_total_ - o.msgs0;
   e.bytes = bytes_total_ - o.bytes0;
-  if (hw_) fold_hw(e.name, o);
   return e;
-}
-
-/// Folds the hardware-counter and peak-RSS deltas across a closing
-/// span into flat counters keyed by the span name. Parent spans fold
-/// their own (inclusive) deltas under their own name — like the
-/// span-level flops/bytes, and unlike the `time.*` prefix hierarchy —
-/// so consumers must match phase names exactly, never prefix-sum
-/// `hw.*` or `mem.*`.
-void Recorder::fold_hw(const std::string& name, const OpenSpan& o) {
-  const HwSample h1 = hw_->read();
-  const HwSample& h0 = o.hw0;
-  const std::uint32_t f = hw_->fields();
-  auto fold = [&](const char* suffix, std::uint64_t now,
-                  std::uint64_t then) {
-    // Counter fds can wrap or reset on some kernels; clamp at zero.
-    if (now > then)
-      metrics_.counters["hw." + name + suffix] +=
-          static_cast<double>(now - then);
-    else
-      metrics_.counters["hw." + name + suffix];  // materialize at 0
-  };
-  if (f & kHwCycles) fold(".cycles", h1.cycles, h0.cycles);
-  if (f & kHwInstructions)
-    fold(".instructions", h1.instructions, h0.instructions);
-  if (f & kHwL1dMisses) fold(".l1d_misses", h1.l1d_misses, h0.l1d_misses);
-  if (f & kHwLlcMisses) fold(".llc_misses", h1.llc_misses, h0.llc_misses);
-  if (f & kHwBranchMisses)
-    fold(".branch_misses", h1.branch_misses, h0.branch_misses);
-  fold(".minor_faults", h1.minor_faults, h0.minor_faults);
-  fold(".major_faults", h1.major_faults, h0.major_faults);
-  fold(".ctx_switches", h1.ctx_switches, h0.ctx_switches);
-  const std::uint64_t peak1 = peak_rss_bytes();
-  metrics_.counters["mem." + name + ".peak_rss_delta_bytes"] +=
-      peak1 > o.rss0 ? static_cast<double>(peak1 - o.rss0) : 0.0;
 }
 
 void Recorder::record_flows(const std::vector<FlowEvent>& flows,
@@ -164,31 +124,6 @@ void Recorder::record_flows(const std::vector<FlowEvent>& flows,
     e.phase = remap[static_cast<std::size_t>(e.phase)];
     metrics_.flows.push_back(e);
   }
-}
-
-Recorder& Registry::recorder(int rank) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& r = recorders_[rank];
-  if (!r) r = std::make_unique<Recorder>(rank);
-  return *r;
-}
-
-std::vector<RankMetrics> Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<RankMetrics> out;
-  out.reserve(recorders_.size());
-  for (const auto& [rank, rec] : recorders_) out.push_back(rec->snapshot());
-  return out;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  recorders_.clear();
-}
-
-Registry& Registry::global() {
-  static Registry g;
-  return g;
 }
 
 }  // namespace pkifmm::obs

@@ -1,6 +1,6 @@
 #pragma once
 /// \file metrics.hpp
-/// \brief Process-wide observability: metrics registry + span tracer.
+/// \brief Per-rank observability: metrics recorder + span tracer.
 ///
 /// The paper's evidence is per-phase, per-rank accounting (Table II's
 /// Max/Avg time-and-flops breakdown, Fig. 5's per-rank flop variance,
@@ -12,25 +12,19 @@
 ///    (name, start, wall, cpu, flops, msgs, bytes, parent) where the
 ///    flop/msg/byte attribution is the delta of the rank totals between
 ///    span open and close — so nested spans never double-count.
-///  - Registry: process-wide owner of Recorders with per-rank scoping.
-///    comm::Runtime binds one Recorder per rank; standalone code can use
-///    Registry::global().
+///    comm::Runtime constructs one per rank, on the rank thread.
 ///
 /// Exporters (export.hpp) turn Recorder snapshots into a flat
 /// metrics.json and a Chrome trace_event JSON.
 ///
 /// Recorder is intentionally NOT thread-safe: each simulated rank owns
-/// its Recorder, mirroring PhaseTimer/FlopCounter. Registry's recorder
-/// lookup is mutex-guarded so ranks can bind concurrently.
+/// its Recorder, mirroring PhaseTimer/FlopCounter.
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/hw.hpp"
 #include "util/check.hpp"
 
 namespace pkifmm::obs {
@@ -177,27 +171,6 @@ class Recorder {
     msgs_total_ += msgs;
     bytes_total_ += bytes;
   }
-  std::uint64_t flops_total() const { return flops_total_; }
-
-  // --- hardware / memory sampling ----------------------------------
-  /// Binds a thread-scoped HwCounters (owned by the caller, must
-  /// outlive the binding; unbind with nullptr). While bound, every
-  /// span close folds the counter deltas across the span into flat
-  /// counters `hw.<span-name>.<event>` and the process peak-RSS
-  /// advance into `mem.<span-name>.peak_rss_delta_bytes`, and one
-  /// `hw.ranks_perf` or `hw.ranks_fallback` tick plus the
-  /// `hw.perf_errno` gauge record which source this rank got. Call
-  /// once per rank run, from the thread that owns both the recorder
-  /// and the HwCounters (comm::Runtime does).
-  void bind_hw(HwCounters* hw) {
-    hw_ = hw;
-    if (!hw) return;
-    counter_add(hw->source() == HwCounters::Source::kPerf
-                    ? "hw.ranks_perf"
-                    : "hw.ranks_fallback");
-    gauge_set("hw.perf_errno", static_cast<double>(hw->perf_errno()));
-  }
-  const HwCounters* hw() const { return hw_; }
 
   // --- tracer ------------------------------------------------------
   /// RAII span. Move-only; closes on destruction unless close() was
@@ -255,19 +228,6 @@ class Recorder {
   /// Copy of the snapshot; open spans are not included.
   RankMetrics snapshot() const { return metrics_; }
 
-  void clear() {
-    metrics_.counters.clear();
-    metrics_.gauges.clear();
-    metrics_.histograms.clear();
-    metrics_.spans.clear();
-    metrics_.flows.clear();
-    metrics_.flow_phases.clear();
-    PKIFMM_CHECK_MSG(open_.empty(), "clear() with open spans");
-    flops_total_ = 0;
-    msgs_total_ = 0;
-    bytes_total_ = 0;
-  }
-
  private:
   friend class Span;
 
@@ -275,45 +235,17 @@ class Recorder {
     std::size_t idx;        ///< slot in metrics_.spans
     double cpu_start;
     std::uint64_t flops0, msgs0, bytes0;
-    HwSample hw0;           ///< populated only while hw_ is bound
-    std::uint64_t rss0 = 0; ///< peak_rss_bytes() at open (hw_ bound)
   };
 
   std::size_t open_span(std::string name);
   const SpanEvent& close_span(std::size_t idx);
-  void fold_hw(const std::string& name, const OpenSpan& o);
 
   RankMetrics metrics_;
   std::vector<OpenSpan> open_;
-  HwCounters* hw_ = nullptr;
   double epoch_;
   std::uint64_t flops_total_ = 0;
   std::uint64_t msgs_total_ = 0;
   std::uint64_t bytes_total_ = 0;
-};
-
-/// Process-wide registry of per-rank Recorders. One Registry per SPMD
-/// execution (comm::Runtime creates one per run); Registry::global()
-/// serves code outside a Runtime.
-class Registry {
- public:
-  Registry() = default;
-
-  /// The recorder scoped to `rank`, created on first use. The returned
-  /// reference stays valid for the registry's lifetime.
-  Recorder& recorder(int rank);
-
-  /// Snapshot of every rank seen so far, ordered by rank.
-  std::vector<RankMetrics> snapshot() const;
-
-  /// Drops all recorders (e.g. between bench repetitions).
-  void reset();
-
-  static Registry& global();
-
- private:
-  mutable std::mutex mu_;
-  std::map<int, std::unique_ptr<Recorder>> recorders_;
 };
 
 }  // namespace pkifmm::obs

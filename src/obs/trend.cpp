@@ -12,35 +12,19 @@ namespace pkifmm::obs {
 
 namespace {
 
-/// Per-phase metrics copied from the summary's `hw.<phase>.<event>` /
-/// `mem.<phase>.<field>` flat counters into the run record. These are
-/// exact-name matches — hw/mem counters are inclusive per span name
-/// and must never be prefix-summed (see Recorder::fold_hw).
+/// Per-phase metrics copied from the summary's `<prefix><phase><suffix>`
+/// flat counters into the run record, warn-gated by trend_analyze.
 struct AuxMetric {
-  const char* prefix;  ///< counter namespace ("hw.", "mem.", "wait.")
+  const char* prefix;  ///< counter namespace
   const char* suffix;  ///< counter suffix incl. leading dot
   const char* key;     ///< key in the record's phase object
   double TrendOptions::* floor;  ///< skip values below this
   double TrendOptions::* ratio;  ///< warn bound
 };
 const AuxMetric kAuxMetrics[] = {
-    {"hw.", ".cycles", "cycles", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"hw.", ".instructions", "instructions", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"hw.", ".l1d_misses", "l1d_misses", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"hw.", ".llc_misses", "llc_misses", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"hw.", ".branch_misses", "branch_misses", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"hw.", ".minor_faults", "minor_faults", &TrendOptions::min_hw,
-     &TrendOptions::hw_ratio},
-    {"mem.", ".peak_rss_delta_bytes", "peak_rss_delta_bytes",
-     &TrendOptions::min_hw, &TrendOptions::hw_ratio},
-    // Blocked-recv time per phase (--flow-trace runs): warn-only like
-    // hw/mem — wait time is scheduler-sensitive, and gating hard on it
-    // would make every loaded CI box a false failure.
+    // Blocked-recv time per phase (--flow-trace runs): warn-only —
+    // wait time is scheduler-sensitive, and gating hard on it would
+    // make every loaded CI box a false failure.
     {"wait.", ".seconds", "wait_seconds", &TrendOptions::min_seconds,
      &TrendOptions::time_ratio},
 };
@@ -97,16 +81,6 @@ Json run_record_from_summary(const Json& summary, const std::string& bench,
     return metrics.contains(name) ? metrics.at(name).at("sum").as_double()
                                   : -1.0;
   };
-  const double perf_ranks = metric_sum("hw.ranks_perf");
-  const double fb_ranks = metric_sum("hw.ranks_fallback");
-  const char* src = "none";
-  if (perf_ranks > 0 && fb_ranks > 0)
-    src = "mixed";
-  else if (perf_ranks > 0)
-    src = "perf";
-  else if (fb_ranks > 0)
-    src = "fallback";
-  rec.set("hw_source", src);
   rec.set("config", config);
 
   Json phases = Json::object();
@@ -124,9 +98,22 @@ Json run_record_from_summary(const Json& summary, const std::string& bench,
   }
   rec.set("phases", std::move(phases));
 
+  // Owner-reported byte gauges ("mem.<owner>.<what>"), summed over
+  // ranks and averaged over runs, keyed without the "mem." prefix.
+  Json owned = Json::object();
+  if (summary.contains("gauges")) {
+    const Json& gauges = summary.at("gauges");
+    const double nruns = static_cast<double>(
+        std::max<std::int64_t>(1, summary.at("nruns").as_int()));
+    for (const std::string& name : gauges.keys())
+      if (name.starts_with("mem."))
+        owned.set(name.substr(4),
+                  gauges.at(name).at("sum").as_double() / nruns);
+  }
   Json mem = Json::object();
   mem.set("peak_rss_bytes",
           static_cast<std::int64_t>(peak_rss_bytes()));
+  mem.set("owned", std::move(owned));
   rec.set("mem", std::move(mem));
 
   // Optional numerical-health summary (FmmOptions::health runs): the
@@ -165,6 +152,16 @@ void validate_run_json(const Json& doc) {
     for (const char* f : {"wall", "cpu", "flops"})
       PKIFMM_CHECK_MSG(p.contains(f) && p.at(f).is_number(),
                        "run phase '" << name << "' missing '" << f << "'");
+  }
+  // Optional: records written before owner gauges existed have no
+  // "mem.owned" (and the oldest no "mem").
+  if (doc.contains("mem") && doc.at("mem").contains("owned")) {
+    const Json& owned = doc.at("mem").at("owned");
+    PKIFMM_CHECK_MSG(owned.type() == Json::Type::kObject,
+                     "run record 'mem.owned' is not an object");
+    for (const std::string& key : owned.keys())
+      PKIFMM_CHECK_MSG(owned.at(key).is_number(),
+                       "run record 'mem.owned." << key << "' is not a number");
   }
 }
 
@@ -289,6 +286,34 @@ Json trend_analyze(const std::vector<Json>& records,
       if (ratio > opt.*(m.ratio))
         warnings.push_back(
             finding(phase, m.key, ref, now, ratio, opt.*(m.ratio)));
+    }
+  }
+
+  // Owner byte gauges: warn-only, like the other machine-dependent
+  // signals (scratch capacities follow the thread count and the
+  // allocator's growth policy).
+  auto owned_of = [](const Json& r) -> const Json* {
+    return r.contains("mem") && r.at("mem").contains("owned")
+               ? &r.at("mem").at("owned")
+               : nullptr;
+  };
+  if (const Json* fowned = owned_of(fresh)) {
+    for (const std::string& key : fowned->keys()) {
+      std::vector<double> vals;
+      for (std::size_t i = ref0; i < navail; ++i) {
+        const Json* o = owned_of(records[i]);
+        if (o != nullptr && o->contains(key))
+          vals.push_back(o->at(key).as_double());
+      }
+      if (vals.empty()) continue;
+      const double now = fowned->at(key).as_double();
+      if (now < opt.min_mem_bytes) continue;
+      ++checked;
+      const double ref = median(vals);
+      const double ratio = now / std::max(ref, opt.min_mem_bytes);
+      if (ratio > opt.mem_ratio)
+        warnings.push_back(
+            finding("mem.owned", key, ref, now, ratio, opt.mem_ratio));
     }
   }
 

@@ -15,21 +15,22 @@
 ///     "git_sha": "<sha|unknown>",   // --git-sha / PKIFMM_GIT_SHA /
 ///                                   // GITHUB_SHA
 ///     "nranks": <int>, "nruns": <int>,
-///     "hw_source": "perf"|"fallback"|"mixed"|"none",
 ///     "config": { ... },            // free-form bench configuration
 ///     "phases": {                   // cross-rank SUMS per phase
 ///       "<phase>": { "wall", "cpu", "flops", "msgs_sent",
 ///                    "bytes_sent",
-///                    // present only when any rank had perf access:
-///                    "cycles", "instructions", "l1d_misses",
-///                    "llc_misses", "branch_misses",
-///                    // always present when ranks sampled memory:
-///                    "minor_faults", "peak_rss_delta_bytes",
 ///                    // present only for --flow-trace runs (warn-only
-///                    // gate, like hw/mem):
+///                    // gate):
 ///                    "wait_seconds" }, ...
 ///     },
-///     "mem": { "peak_rss_bytes": <process VmHWM at record time> },
+///     "mem": {
+///       "peak_rss_bytes": <process VmHWM at record time>,
+///       // owner byte gauges "mem.<owner>.<what>" from the summary's
+///       // "gauges" section, summed over ranks and averaged over runs,
+///       // keyed without "mem." (warn-only gate):
+///       "owned": { "let.total_bytes": <bytes>,
+///                  "eval.fft_chunk_bytes": <bytes>, ... }
+///     },
 ///     // present only for health-enabled runs (warn-only gate):
 ///     "health": { "sampled_rel_err": <double>, "sample_count": <double> }
 ///   }
@@ -42,9 +43,10 @@
 /// the previous `window` records per (phase, metric) — the median
 /// keeps one noisy CI machine from poisoning the reference. Time and
 /// work metrics gate with the same ratios/floors as GateOptions
-/// (hard-fail); hardware-counter and memory metrics only ever WARN,
-/// because they are machine-dependent (a different CI host has a
-/// different cache) and perf access comes and goes with the container.
+/// (hard-fail); blocked-recv wait time, owner memory and sampled error
+/// only ever WARN, because they move with the scheduler, the thread
+/// count and the allocator. Records written by the retired hardware
+/// sampler still read; its per-phase fields are ignored.
 
 #include <string>
 #include <vector>
@@ -56,9 +58,9 @@ namespace pkifmm::obs {
 inline constexpr const char* kRunSchema = "pkifmm.run.v1";
 
 /// Builds a run record from a validated summary document ("phases"
-/// sums + `hw.<phase>.*` / `mem.<phase>.*` metric sums + the current
-/// process peak RSS). `config` is stored verbatim (pass Json::object()
-/// for none).
+/// sums + `wait.<phase>.seconds` metric sums + the `mem.*` gauge sums
+/// + the current process peak RSS). `config` is stored verbatim (pass
+/// Json::object() for none).
 Json run_record_from_summary(const Json& summary, const std::string& bench,
                              const std::string& git_sha,
                              const Json& config);
@@ -77,19 +79,19 @@ void append_run_record(const std::string& path, const Json& record);
 std::vector<Json> read_run_history(const std::string& path);
 
 /// Thresholds for trend_analyze. Time/work ratios and floors mirror
-/// GateOptions; hw metrics get their own looser ratio and are
-/// warn-only regardless.
+/// GateOptions; owner memory gets its own ratio and is warn-only
+/// regardless.
 struct TrendOptions {
   int window = 8;             ///< reference = median of last `window`
                               ///< records before the newest
   double time_ratio = 1.6;    ///< hard bound for wall & cpu
   double work_ratio = 1.25;   ///< hard bound for flops / msgs / bytes
-  double hw_ratio = 1.5;      ///< WARN bound for cycles/misses/faults/rss
+  double mem_ratio = 1.5;     ///< WARN bound for each "mem.owned" key
   double min_seconds = 5e-2;  ///< floors, as in GateOptions
   double min_flops = 1e4;
   double min_msgs = 16;
   double min_bytes = 4096;
-  double min_hw = 1e6;        ///< ignore hw metrics below this count
+  double min_mem_bytes = 1e6; ///< ignore owned bytes below this
   /// WARN bound for the sampled relative error of health-enabled runs
   /// (run record field "health.sampled_rel_err"): warn when fresh
   /// exceeds err_ratio × the reference median. Generous because the
@@ -98,9 +100,9 @@ struct TrendOptions {
   double err_ratio = 4.0;
   double min_err = 1e-12;     ///< ignore errors below this (p large
                               ///< enough that the sample underflows)
-  /// Promote the warn-only hw/mem/wait findings to hard failures
+  /// Promote the warn-only wait/mem/health findings to hard failures
   /// ("ok" = false when any warning fires). For CI lanes pinned to one
-  /// machine class, where hw counters ARE comparable run-over-run.
+  /// machine class, where those signals ARE comparable run-over-run.
   bool strict = false;
 };
 
@@ -112,7 +114,9 @@ struct TrendOptions {
 ///     "newest_sha": "<sha>",
 ///     "regressions": [ { "phase", "metric", "reference", "fresh",
 ///                        "ratio", "limit" }, ... ],
-///     "warnings":   [ ...same shape, hw/mem metrics... ] }
+///     "warnings":   [ ...same shape, warn-only metrics; owner
+///                     memory has phase "mem.owned" and the owned
+///                     key as metric... ] }
 /// A phase present in every reference record but missing from the
 /// newest is a regression with metric "missing". Fewer than 2 records
 /// yields ok with checked = 0 (nothing to compare yet). Throws

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -16,6 +17,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trend.hpp"
 #include "octree/points.hpp"
 #include "util/check.hpp"
 #include "util/flops.hpp"
@@ -161,18 +163,6 @@ TEST(Recorder, SpansMustCloseInnermostFirst) {
   EXPECT_THROW(outer.close(), CheckFailure);
   (void)inner.close();
   (void)outer.close();
-}
-
-TEST(Registry, PerRankScoping) {
-  Registry reg;
-  reg.recorder(2).counter_add("x", 5.0);
-  reg.recorder(0).counter_add("x", 1.0);
-  reg.recorder(2).counter_add("x", 5.0);
-  const auto snaps = reg.snapshot();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].rank, 0);
-  EXPECT_EQ(snaps[1].rank, 2);
-  EXPECT_DOUBLE_EQ(snaps[1].counters.at("x"), 10.0);
 }
 
 // ----------------------------------------------------------- Exporters
@@ -442,8 +432,44 @@ TEST(Aggregate, SpanFallbackGivesPhaseTotalsAndOverlap) {
   const Json& ph = doc.at("phases").at("eval");
   EXPECT_DOUBLE_EQ(ph.at("wall").at("avg").as_double(), 2.0);
   EXPECT_DOUBLE_EQ(ph.at("cpu").at("sum").as_double(), 3.0);
-  EXPECT_DOUBLE_EQ(ph.at("critical_path").as_double(), 3.0);
   EXPECT_DOUBLE_EQ(ph.at("overlap_efficiency").as_double(), 4.0 / 6.0);
+  EXPECT_FALSE(ph.contains("critical_path"));
+}
+
+TEST(Aggregate, GaugesSkipEpochAndAbsentRanks) {
+  // Gauges are levels: a rank that never set one is left out of its
+  // stats, and the "obs.epoch" clock offset is not a gauge at all.
+  RankMetrics a = synth_rank(0, 1.0);
+  RankMetrics b = synth_rank(1, 1.0);
+  a.gauges["obs.epoch"] = 10.0;
+  b.gauges["obs.epoch"] = 11.0;
+  a.gauges["mem.eval.fft_chunk_bytes"] = 1000.0;
+  b.gauges["mem.eval.fft_chunk_bytes"] = 3000.0;
+  b.gauges["mem.let.ghost_bytes"] = 500.0;  // only rank 1 set this
+  const Json doc = summarize_runs("bench_x", {{a, b}, {a, b}});
+  validate_summary_json(doc);
+  const Json& g = doc.at("gauges");
+  EXPECT_FALSE(g.contains("obs.epoch"));
+  const Json& fft = g.at("mem.eval.fft_chunk_bytes");
+  EXPECT_EQ(fft.at("count").as_int(), 4);  // 2 ranks x 2 runs
+  EXPECT_DOUBLE_EQ(fft.at("min").as_double(), 1000.0);
+  EXPECT_DOUBLE_EQ(fft.at("max").as_double(), 3000.0);
+  EXPECT_DOUBLE_EQ(fft.at("sum").as_double(), 8000.0);
+  const Json& ghost = g.at("mem.let.ghost_bytes");
+  EXPECT_EQ(ghost.at("count").as_int(), 2);
+  EXPECT_DOUBLE_EQ(ghost.at("min").as_double(), 500.0);
+
+  // The section is optional (older summaries lack it) but validated
+  // when present.
+  Json old = Json::object();
+  for (const std::string& key : doc.keys())
+    if (key != "gauges") old.set(key, doc.at(key));
+  validate_summary_json(old);
+  Json broken = doc;
+  Json bad_gauges = Json::object();
+  bad_gauges.set("mem.eval.fft_chunk_bytes", Json::object());
+  broken.set("gauges", std::move(bad_gauges));
+  EXPECT_THROW(validate_summary_json(broken), CheckFailure);
 }
 
 TEST(Aggregate, ZeroWallPhaseOmitsImbalanceAndOverlap) {
@@ -795,7 +821,8 @@ TEST(Integration, CrossRankSummaryAgreesWithPerRankMetrics) {
     EXPECT_GT(eff, 0.0) << phase;
     EXPECT_LE(eff, 1.0 + 1e-9) << phase;
   }
-  EXPECT_GT(doc.at("phases").at("eval").at("critical_path").as_double(), 0.0);
+  EXPECT_GT(doc.at("phases").at("eval").at("overlap_efficiency").as_double(),
+            0.0);
 
   // Comm-matrix row sums equal the tagged per-rank send counters; the
   // reduction phase actually moved traffic.
@@ -829,6 +856,60 @@ TEST(Integration, CrossRankSummaryAgreesWithPerRankMetrics) {
   for (const auto& row : rmat)
     for (const Json& cell : row.items()) reduce_msgs += cell.as_double();
   EXPECT_GT(reduce_msgs, 0.0);
+}
+
+/// Memory by owner, end to end: the byte gauges the LET and the
+/// evaluator publish reach the summary's "gauges" section (one sample
+/// per rank) and the run record's "mem.owned" (summed over ranks).
+TEST(Integration, OwnerGaugesReachSummaryAndRunRecord) {
+  kernels::LaplaceKernel kernel;
+  core::FmmOptions opts;
+  opts.surface_n = 4;
+  opts.max_points_per_leaf = 20;
+  const core::Tables tables(kernel, opts);
+
+  constexpr int kP = 2;
+  auto reports = comm::Runtime::run(kP, [&](comm::RankCtx& ctx) {
+    auto pts = octree::generate_points(octree::Distribution::kEllipsoid,
+                                       2000, ctx.rank(), ctx.size(), 1, 42);
+    core::ParallelFmm fmm(ctx, tables);
+    fmm.setup(std::move(pts));
+    (void)fmm.evaluate();
+  });
+
+  std::vector<RankMetrics> ranks;
+  for (const auto& rep : reports) ranks.push_back(rep.obs);
+  const Json summary = summarize_runs("owners", {ranks});
+  validate_summary_json(summary);
+  const Json& gauges = summary.at("gauges");
+  const std::vector<std::string> owners = {
+      "let.total_bytes",        "eval.state_bytes", "eval.surface_bytes",
+      "eval.lane_scratch_bytes", "eval.batch_bytes", "eval.fft_chunk_bytes"};
+  for (const std::string& owner : owners) {
+    const std::string name = "mem." + owner;
+    ASSERT_TRUE(gauges.contains(name)) << name;
+    EXPECT_EQ(gauges.at(name).at("count").as_int(), kP) << name;
+    EXPECT_GT(gauges.at(name).at("sum").as_double(), 0.0) << name;
+  }
+  // Every mem.eval.* gauge the evaluator publishes is in the list.
+  for (const std::string& name : gauges.keys()) {
+    if (!name.starts_with("mem.eval.")) continue;
+    EXPECT_NE(std::find(owners.begin(), owners.end(), name.substr(4)),
+              owners.end())
+        << name;
+  }
+
+  const Json record =
+      run_record_from_summary(summary, "owners", "sha", Json::object());
+  validate_run_json(record);
+  const Json& owned = record.at("mem").at("owned");
+  for (const std::string& owner : owners) {
+    ASSERT_TRUE(owned.contains(owner)) << owner;
+    double sum = 0.0;
+    for (const auto& rep : reports) sum += rep.obs.gauges.at("mem." + owner);
+    EXPECT_NEAR(owned.at(owner).as_double(), sum, 1e-12 * sum) << owner;
+  }
+  EXPECT_FALSE(record.contains("hw_source"));
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 /// Resource-observability tests: JSON string-escaping edge cases and
-/// the non-finite-number policy, HwCounters perf-denial fallback
-/// (injected EACCES/ENOSYS openers), Recorder hw/mem span folding,
-/// run.v1 record round-trips, and trend_analyze regression/warning
-/// semantics against synthetic bench trajectories.
+/// the non-finite-number policy, the process peak-RSS read, run.v1
+/// record round-trips (new and old record shapes), and trend_analyze
+/// regression/warning semantics against synthetic bench trajectories,
+/// including the owner-memory warn gate.
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -74,93 +73,51 @@ TEST(JsonEscaping, NonFiniteNumbersAreRejected) {
   EXPECT_DOUBLE_EQ(Json::parse(obj.dump()).at("ok").as_double(), 1.5);
 }
 
-// ---------------------------------------------------------- HwCounters
+// ------------------------------------------------------------ peak RSS
 
-int open_eacces(std::uint32_t, std::uint64_t) {
-  errno = EACCES;
-  return -1;
-}
-
-int open_enosys(std::uint32_t, std::uint64_t) {
-  errno = ENOSYS;
-  return -1;
-}
-
-TEST(HwCounters, FallsBackOnEacces) {
-  // perf_event_paranoid >= 2 without CAP_PERFMON: every open fails
-  // with EACCES. The object must degrade, remember why, and still
-  // deliver the rusage fields.
-  HwCounters hw(true, &open_eacces);
-  EXPECT_EQ(hw.source(), HwCounters::Source::kFallback);
-  EXPECT_STREQ(hw.source_name(), "fallback");
-  EXPECT_EQ(hw.perf_errno(), EACCES);
-  EXPECT_EQ(hw.fields() & kHwCycles, 0u);
-  EXPECT_NE(hw.fields() & kHwFaults, 0u);
-
-  const HwSample a = hw.read();
-  // Touch fresh pages so the fault totals move between reads.
-  std::vector<char> pages(1 << 22);
-  for (std::size_t i = 0; i < pages.size(); i += 4096) pages[i] = 1;
-  const HwSample b = hw.read();
-  EXPECT_GE(b.minor_faults, a.minor_faults);
-  EXPECT_EQ(b.cycles, 0u);  // unavailable, not measured-zero
-}
-
-TEST(HwCounters, FallsBackOnEnosys) {
-  // seccomp sandboxes reject the syscall outright.
-  HwCounters hw(true, &open_enosys);
-  EXPECT_EQ(hw.source(), HwCounters::Source::kFallback);
-  EXPECT_EQ(hw.perf_errno(), ENOSYS);
-  const HwSample s = hw.read();
-  EXPECT_EQ(s.instructions, 0u);
-}
-
-TEST(HwCounters, ForcedFallbackNeverAttemptsPerf) {
-  HwCounters hw(false);
-  EXPECT_EQ(hw.source(), HwCounters::Source::kFallback);
-  EXPECT_EQ(hw.perf_errno(), 0);  // never attempted, so no errno
-  EXPECT_NE(hw.fields() & kHwFaults, 0u);
-}
-
-TEST(HwCounters, RecorderFoldsFallbackSpans) {
-  Recorder rec(0);
-  HwCounters hw(true, &open_eacces);
-  rec.bind_hw(&hw);
-  {
-    auto s = rec.span("eval");
-    std::vector<char> pages(1 << 21);
-    for (std::size_t i = 0; i < pages.size(); i += 4096) pages[i] = 1;
-  }
-  rec.bind_hw(nullptr);
-
-  const RankMetrics m = rec.snapshot();
-  // Source bookkeeping reaches the counters/gauges.
-  EXPECT_DOUBLE_EQ(rec.counter("hw.ranks_fallback"), 1.0);
-  EXPECT_DOUBLE_EQ(rec.counter("hw.ranks_perf"), 0.0);
-  EXPECT_DOUBLE_EQ(m.gauges.at("hw.perf_errno"), EACCES);
-  // Fault/RSS counters materialize for the span (possibly zero, but
-  // present); perf-only counters must NOT appear under fallback.
-  EXPECT_NE(m.counters.find("hw.eval.minor_faults"), m.counters.end());
-  EXPECT_NE(m.counters.find("hw.eval.ctx_switches"), m.counters.end());
-  EXPECT_NE(m.counters.find("mem.eval.peak_rss_delta_bytes"),
-            m.counters.end());
-  EXPECT_EQ(m.counters.find("hw.eval.cycles"), m.counters.end());
-}
-
-TEST(HwCounters, RssReadsAreSane) {
-  const std::uint64_t cur = current_rss_bytes();
+TEST(PeakRss, ReadsAreSane) {
   const std::uint64_t peak = peak_rss_bytes();
   ASSERT_GT(peak, 0u);
-  if (cur > 0) {
-    EXPECT_LE(cur, peak + (64u << 20));  // peak is a HWM
-  }
-  EXPECT_GE(peak_rss_bytes(), peak);  // monotone
+  // Touch fresh pages: the high-water mark never goes down.
+  std::vector<char> pages(1 << 22);
+  for (std::size_t i = 0; i < pages.size(); i += 4096) pages[i] = 1;
+  EXPECT_GE(peak_rss_bytes(), peak);
 }
 
 // ---------------------------------------------------------- run.v1
 
-/// A minimal-but-valid run record with one "eval" phase.
-Json make_record(const std::string& sha, double wall, double faults) {
+/// A minimal-but-valid run record with one "eval" phase and two owner
+/// byte gauges; `fft_bytes` is the evaluator's FFT chunk footprint.
+Json make_record(const std::string& sha, double wall, double fft_bytes) {
+  Json phase = Json::object();
+  phase.set("wall", wall);
+  phase.set("cpu", wall * 0.9);
+  phase.set("flops", 2e8);
+  phase.set("msgs_sent", 128.0);
+  phase.set("bytes_sent", 1e6);
+  Json phases = Json::object();
+  phases.set("eval", phase);
+  Json owned = Json::object();
+  owned.set("eval.fft_chunk_bytes", fft_bytes);
+  owned.set("let.total_bytes", 8e6);
+  Json mem = Json::object();
+  mem.set("peak_rss_bytes", 5e8);
+  mem.set("owned", owned);
+  Json rec = Json::object();
+  rec.set("schema", kRunSchema);
+  rec.set("bench", "synthetic");
+  rec.set("git_sha", sha);
+  rec.set("nranks", 4);
+  rec.set("nruns", 1);
+  rec.set("config", Json::object());
+  rec.set("phases", phases);
+  rec.set("mem", mem);
+  return rec;
+}
+
+/// A record in the shape written before owner gauges: a sampler-source
+/// tag, per-phase fault and peak-RSS-delta fields, and no "mem.owned".
+Json make_old_record(const std::string& sha, double wall, double faults) {
   Json phase = Json::object();
   phase.set("wall", wall);
   phase.set("cpu", wall * 0.9);
@@ -189,13 +146,13 @@ Json make_record(const std::string& sha, double wall, double faults) {
 TEST(RunRecord, AppendReadRoundTrip) {
   const std::string path = ::testing::TempDir() + "pkifmm_history.jsonl";
   std::remove(path.c_str());
-  append_run_record(path, make_record("aaa", 1.0, 2e6));
-  append_run_record(path, make_record("bbb", 1.1, 2e6));
+  append_run_record(path, make_record("aaa", 1.0, 4e6));
+  append_run_record(path, make_record("bbb", 1.1, 4e6));
   const std::vector<Json> back = read_run_history(path);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].at("git_sha").as_string(), "aaa");
   EXPECT_EQ(back[1].at("git_sha").as_string(), "bbb");
-  EXPECT_EQ(back[1], make_record("bbb", 1.1, 2e6));
+  EXPECT_EQ(back[1], make_record("bbb", 1.1, 4e6));
   std::remove(path.c_str());
 }
 
@@ -207,33 +164,74 @@ TEST(RunRecord, ValidateRejectsBadDocuments) {
   Json no_phases = make_record("aaa", 1.0, 2e6);
   no_phases.set("phases", Json::array());
   EXPECT_THROW(validate_run_json(no_phases), CheckFailure);
+  Json bad_owned = make_record("aaa", 1.0, 2e6);
+  Json mem = bad_owned.at("mem");
+  Json owned = Json::object();
+  owned.set("eval.fft_chunk_bytes", "lots");
+  mem.set("owned", owned);
+  bad_owned.set("mem", mem);
+  EXPECT_THROW(validate_run_json(bad_owned), CheckFailure);
+}
+
+TEST(RunRecord, OldShapeHistoryStillReadsAndAnalyzes) {
+  // A history written before owner gauges, then one new-shape record.
+  // The old lines read, the trend gate compares the shared fields, and
+  // the retired per-phase fields neither gate nor warn (the fault
+  // count quadruples between the old records and nothing fires).
+  const std::string path = ::testing::TempDir() + "pkifmm_old_history.jsonl";
+  std::remove(path.c_str());
+  for (int i = 0; i < 3; ++i)
+    append_run_record(path, make_old_record("old" + std::to_string(i), 1.0,
+                                            i == 2 ? 8e6 : 2e6));
+  append_run_record(path, make_record("new", 1.05, 4e6));
+  const std::vector<Json> back = read_run_history(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), 4u);
+  EXPECT_EQ(back[0].at("hw_source").as_string(), "fallback");
+
+  const Json r = trend_analyze(back);
+  EXPECT_TRUE(r.at("ok").as_bool());
+  EXPECT_EQ(r.at("window").as_int(), 3);
+  EXPECT_GT(r.at("checked").as_int(), 0);
+  EXPECT_EQ(r.at("regressions").size(), 0u);
+  EXPECT_EQ(r.at("warnings").size(), 0u);  // no reference for mem.owned
+
+  // An old-shape record as the newest one analyzes too.
+  const Json r2 = trend_analyze({back[0], back[1], back[2]});
+  EXPECT_TRUE(r2.at("ok").as_bool());
+  EXPECT_EQ(r2.at("warnings").size(), 0u);
 }
 
 TEST(RunRecord, FromRealSummaryUnderFallback) {
-  // Drive a Recorder the way comm::Runtime does (hw bound, spans
-  // closed), summarize, and condense into a run record.
+  // Drive a Recorder the way comm::Runtime does (spans closed, owner
+  // gauges set, the epoch gauge added), summarize, and condense into a
+  // run record.
   Recorder rec(0);
-  HwCounters hw(false);
-  rec.bind_hw(&hw);
   {
     auto eval = rec.span("eval");
     rec.add_flops(1000000);
     rec.add_sent(10, 4096);
   }
-  rec.bind_hw(nullptr);
-  const Json summary = summarize_runs("mini", {{rec.snapshot()}});
+  rec.gauge_set("mem.eval.fft_chunk_bytes", 3e6);
+  rec.gauge_set("sched.workers", 2.0);
+  RankMetrics m = rec.snapshot();
+  m.gauges["obs.epoch"] = rec.epoch();
+  const Json summary = summarize_runs("mini", {{m}});
 
   Json config = Json::object();
   config.set("p", 1);
   const Json record = run_record_from_summary(summary, "mini", "sha1", config);
   validate_run_json(record);
-  EXPECT_EQ(record.at("hw_source").as_string(), "fallback");
+  EXPECT_FALSE(record.contains("hw_source"));
   EXPECT_EQ(record.at("config").at("p").as_int(), 1);
   const Json& eval = record.at("phases").at("eval");
   EXPECT_DOUBLE_EQ(eval.at("flops").as_double(), 1000000.0);
-  EXPECT_TRUE(eval.contains("minor_faults"));
-  EXPECT_TRUE(eval.contains("peak_rss_delta_bytes"));
-  EXPECT_FALSE(eval.contains("cycles"));  // fallback: absent, not zero
+  EXPECT_EQ(eval.keys().size(), 5u);  // wall cpu flops msgs_sent bytes_sent
+  // Only the mem.* gauges are owned bytes; "mem." is dropped.
+  const Json& owned = record.at("mem").at("owned");
+  EXPECT_EQ(owned.keys().size(), 1u);
+  EXPECT_DOUBLE_EQ(owned.at("eval.fft_chunk_bytes").as_double(), 3e6);
+  EXPECT_GT(record.at("mem").at("peak_rss_bytes").as_double(), 0.0);
 }
 
 // ------------------------------------------------------------- trend
@@ -256,8 +254,11 @@ TEST(Trend, EmptyHistoryIsOkWithNoWindow) {
 
 TEST(Trend, StableTrajectoryPasses) {
   std::vector<Json> hist;
-  for (int i = 0; i < 5; ++i)
-    hist.push_back(make_record("s" + std::to_string(i), 1.0 + 0.01 * i, 2e6));
+  for (int i = 0; i < 5; ++i) {
+    std::string sha = "s";
+    sha.append(std::to_string(i));
+    hist.push_back(make_record(sha, 1.0 + 0.01 * i, 2e6));
+  }
   const Json r = trend_analyze(hist);
   EXPECT_TRUE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("regressions").size(), 0u);
@@ -286,19 +287,38 @@ TEST(Trend, DetectsInjectedWallRegression) {
   EXPECT_TRUE(found);
 }
 
-TEST(Trend, HwDriftOnlyWarns) {
-  // Minor-fault counts triple, wall stays flat: machine-dependent hw
-  // metrics must never hard-fail the trend gate.
+TEST(Trend, OwnedMemoryGrowthOnlyWarns) {
+  // Seeded allocation regression: the evaluator's FFT chunk footprint
+  // doubles in the newest record, wall stays flat. At the default 1.5
+  // ratio it warns, never hard-fails; --strict makes it fail; a 1.3x
+  // growth stays under the ratio.
   std::vector<Json> hist;
-  for (int i = 0; i < 4; ++i)
-    hist.push_back(make_record("base", 1.0, 2e6));
-  hist.push_back(make_record("drift", 1.0, 6e6));
+  for (int i = 0; i < 4; ++i) hist.push_back(make_record("base", 1.0, 4e6));
+  hist.push_back(make_record("grown", 1.0, 8e6));
   const Json r = trend_analyze(hist);
   EXPECT_TRUE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("regressions").size(), 0u);
-  ASSERT_GE(r.at("warnings").size(), 1u);
-  EXPECT_EQ(r.at("warnings").items()[0].at("metric").as_string(),
-            "minor_faults");
+  ASSERT_EQ(r.at("warnings").size(), 1u);
+  const Json& w = r.at("warnings").items()[0];
+  EXPECT_EQ(w.at("phase").as_string(), "mem.owned");
+  EXPECT_EQ(w.at("metric").as_string(), "eval.fft_chunk_bytes");
+  EXPECT_DOUBLE_EQ(w.at("reference").as_double(), 4e6);
+  EXPECT_DOUBLE_EQ(w.at("ratio").as_double(), 2.0);
+  EXPECT_DOUBLE_EQ(w.at("limit").as_double(), 1.5);
+
+  TrendOptions strict;
+  strict.strict = true;
+  EXPECT_FALSE(trend_analyze(hist, strict).at("ok").as_bool());
+
+  hist.back() = make_record("mild", 1.0, 1.3 * 4e6);
+  const Json mild = trend_analyze(hist, strict);
+  EXPECT_TRUE(mild.at("ok").as_bool());
+  EXPECT_EQ(mild.at("warnings").size(), 0u);
+
+  // Below the 1e6 floor a growth is noise, however large.
+  for (Json& rec : hist) rec = make_record("tiny", 1.0, 1e5);
+  hist.back() = make_record("tiny", 1.0, 9e5);
+  EXPECT_EQ(trend_analyze(hist, strict).at("warnings").size(), 0u);
 }
 
 TEST(Trend, MissingPhaseIsARegression) {

@@ -19,13 +19,9 @@
 ///      message payload transit), and the drift monitor's step/warning
 ///      counters. Any sentinel hit or digest mismatch prints a
 ///      WARNING line,
-///   2. a roofline classification: per-phase achieved GFLOP/s,
-///      arithmetic intensity (flops / estimated bytes moved, where
-///      bytes = LLC misses x 64B lines), IPC and miss rates from the
-///      `hw.<phase>.*` counters, and a compute- vs bandwidth-bound
-///      verdict against the --peak-gflops / --peak-gbs machine model.
-///      On fallback-source runs (no perf access) the hw-derived
-///      columns print "-" and a note explains why,
+///   2. the achieved rate per phase: model flops summed over ranks
+///      over the phase's max wall across ranks, in GFLOP/s and as a
+///      fraction of --peak-gflops x the rank count,
 ///   3. the top-k phases by wall-time imbalance (max/avg across
 ///      ranks) — where to look first when scaling stalls,
 ///   4. the intra-rank scheduler (only when `sched.*` counters are
@@ -36,9 +32,9 @@
 ///   5. message-flow waits (only when the summary carries a "flow"
 ///      section, i.e. the run used --flow-trace): per-phase wall-time
 ///      decomposition into compute / comm-wait / pool-idle with a wait
-///      fraction bar, the graph-based critical path vs the makespan
-///      heuristic, the top-k late-sender ranks by inflicted wait, and
-///      a per-(src,dst) message latency table (p50/p95/max),
+///      fraction bar, the graph-based critical path with its compute
+///      and transfer legs, the top-k late-sender ranks by inflicted
+///      wait, and a per-(src,dst) message latency table (p50/p95/max),
 ///   6. an ASCII heatmap of the per-phase communication matrix
 ///      (row = sender, column = receiver), the traffic-shape evidence
 ///      behind the paper's Algorithm 2/3 claims.
@@ -47,8 +43,7 @@
 ///       [--top=5]                  # rows in the imbalance section
 ///       [--matrix-phase=<phase>]   # default: every phase with traffic
 ///       [--matrix-metric=bytes]    # or msgs
-///       [--peak-gflops=8]          # per-rank peak for the roofline
-///       [--peak-gbs=20]            # per-rank memory bandwidth
+///       [--peak-gflops=8]          # per-rank peak for section 2
 ///
 /// Exit status: 0 on success, 2 on bad input (missing/malformed JSON
 /// included — schema violations print a one-line error, never crash).
@@ -120,7 +115,7 @@ void print_heatmap(const std::string& phase, const std::string& metric,
 }
 
 /// Cross-rank sum of a flat summary metric, or -1 when no rank
-/// recorded it (hw counters are absent, not zero, under fallback).
+/// recorded it.
 double metric_sum(const obs::Json& metrics, const std::string& name) {
   return metrics.contains(name) ? metrics.at(name).at("sum").as_double()
                                 : -1.0;
@@ -139,14 +134,12 @@ static int run(int argc, char** argv) {
   const std::string want_phase = cli.get("matrix-phase", "");
   const std::string matrix_metric = cli.get("matrix-metric", "bytes");
   const double peak_gflops = cli.get_double("peak-gflops", 8.0);
-  const double peak_gbs = cli.get_double("peak-gbs", 20.0);
   if (matrix_metric != "bytes" && matrix_metric != "msgs") {
     std::fprintf(stderr, "pkifmm_report: --matrix-metric must be bytes|msgs\n");
     return 2;
   }
-  if (peak_gflops <= 0.0 || peak_gbs <= 0.0) {
-    std::fprintf(stderr,
-                 "pkifmm_report: --peak-gflops/--peak-gbs must be > 0\n");
+  if (peak_gflops <= 0.0) {
+    std::fprintf(stderr, "pkifmm_report: --peak-gflops must be > 0\n");
     return 2;
   }
 
@@ -297,75 +290,26 @@ static int run(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- 2. Roofline classification. Rates are cluster-level: summed
-  // flops over the phase's max wall across ranks. Bytes moved are
-  // estimated as LLC misses x 64B cache lines — an undercount with
-  // hardware prefetching, so the printed intensity is an upper bound.
-  // The ridge point peak_gflops/peak_gbs splits bandwidth- from
-  // compute-bound; "roof util" is achieved / roofline(AI).
+  // --- 2. Achieved rate per phase: summed model flops over the
+  // phase's max wall across ranks, against the cluster peak.
   {
-    const double ranks_perf = metric_sum(metrics, "hw.ranks_perf");
-    const double ranks_fb = metric_sum(metrics, "hw.ranks_fallback");
-    const double ridge = peak_gflops / peak_gbs;  // flop/byte
-    Table roof({"Phase", "GFLOP/s", "AI (F/B)", "IPC", "L1d/KI", "LLC/KI",
-                "Br/KI", "Bound", "Roof util"});
+    const double nranks = static_cast<double>(
+        std::max<std::int64_t>(1, doc.at("nranks").as_int()));
+    Table rate({"Phase", "GFLOP/s", "Of peak", "Bar"});
     for (const std::string& name : names) {
       const obs::Json& ph = phases.at(name);
       const double flops = stat(ph, "flops", "sum");
       const double wall = stat(ph, "wall", "max");
-      if (wall <= 1e-9) continue;  // rates over ~zero time are noise
-      const double cycles = metric_sum(metrics, "hw." + name + ".cycles");
-      const double instr =
-          metric_sum(metrics, "hw." + name + ".instructions");
-      const double l1d = metric_sum(metrics, "hw." + name + ".l1d_misses");
-      const double llc = metric_sum(metrics, "hw." + name + ".llc_misses");
-      const double br =
-          metric_sum(metrics, "hw." + name + ".branch_misses");
-      // Flopless phases (comm, bookkeeping) only earn a row when hw
-      // counters give them content; their flop-derived columns are "-"
-      // rather than 0.00/inf garbage.
-      if (flops <= 0.0 && instr <= 0.0) continue;
-      std::string gfs_s = "-", ai = "-", ipc = "-", l1dki = "-",
-                  llcki = "-", brki = "-", bound = "-", util = "-";
-      if (instr > 0.0 && cycles > 0.0) ipc = fixed(instr / cycles);
-      if (instr > 0.0) {
-        if (l1d >= 0.0) l1dki = fixed(1e3 * l1d / instr);
-        if (llc >= 0.0) llcki = fixed(1e3 * llc / instr);
-        if (br >= 0.0) brki = fixed(1e3 * br / instr);
-      }
-      if (flops > 0.0) {
-        const double gfs = flops / wall / 1e9;
-        gfs_s = fixed(gfs);
-        if (llc > 0.0) {
-          const double intensity = flops / (llc * 64.0);
-          ai = fixed(intensity);
-          bound = intensity < ridge ? "bandwidth" : "compute";
-          const double roofline =
-              std::min(peak_gflops, intensity * peak_gbs);
-          util = bar(gfs / roofline, 1.0, 12);
-        }
-      }
-      roof.add_row({name, gfs_s, ai, ipc, l1dki, llcki, brki, bound,
-                    util});
+      // Flopless phases (comm, bookkeeping) have no rate, and rates
+      // over ~zero time are noise.
+      if (flops <= 0.0 || wall <= 1e-9) continue;
+      const double gfs = flops / wall / 1e9;
+      const double frac = gfs / (peak_gflops * nranks);
+      rate.add_row({name, fixed(gfs), fixed(frac), bar(frac, 1.0, 12)});
     }
-    std::printf(
-        "Roofline (peak %.1f GFLOP/s, %.1f GB/s, ridge %.2f flop/byte):\n%s",
-        peak_gflops, peak_gbs, ridge, roof.str().c_str());
-    if (ranks_perf <= 0.0)
-      std::printf(
-          "note: no rank had perf_event_open access (%d/%d fallback) — "
-          "hw-derived\ncolumns are '-'; GFLOP/s uses analytic flop counts "
-          "over wall time.\n",
-          static_cast<int>(ranks_fb < 0.0 ? 0.0 : ranks_fb),
-          static_cast<int>((ranks_perf < 0.0 ? 0.0 : ranks_perf) +
-                           (ranks_fb < 0.0 ? 0.0 : ranks_fb)));
-    else if (metrics.contains("sched.workers") &&
-             metric_sum(metrics, "sched.workers") > 0.0)
-      std::printf(
-          "note: hw counters cover rank threads only — TaskPool worker "
-          "lanes are\nuncounted, so hw-derived columns understate "
-          "multi-lane phases.\n");
-    std::printf("\n");
+    std::printf("Achieved rate (model flops / max wall; peak %.1f GFLOP/s "
+                "per rank x %.0f rank(s)):\n%s\n",
+                peak_gflops, nranks, rate.str().c_str());
   }
 
   // --- 3. Top-k phases by wall-time imbalance. Phases with negligible
@@ -470,16 +414,14 @@ static int run(int argc, char** argv) {
     std::printf("Per-phase wall decomposition (summed across ranks):\n%s",
                 waits.str().c_str());
 
-    Table cpath({"Phase", "Makespan", "Graph path", "Compute leg",
-                 "Transfer leg"});
+    Table cpath({"Phase", "Graph path", "Compute leg", "Transfer leg"});
     bool any_graph = false;
     for (const std::string& name : names) {
       const obs::Json& ph = phases.at(name);
       if (!ph.contains("critical_path_graph")) continue;
       any_graph = true;
       cpath.add_row(
-          {name, sci(ph.at("critical_path").as_double()),
-           sci(ph.at("critical_path_graph").as_double()),
+          {name, sci(ph.at("critical_path_graph").as_double()),
            sci(ph.at("critical_path_graph_compute").as_double()),
            sci(ph.at("critical_path_graph_transfer").as_double())});
     }

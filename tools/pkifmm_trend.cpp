@@ -5,28 +5,30 @@
 /// Records are grouped by bench name; within each group the newest
 /// record is compared against the median of the preceding --window
 /// records (obs::trend_analyze). Wall/cpu/flops/msgs/bytes regressions
-/// beyond the gate ratios are hard failures; hardware-counter and
-/// memory metrics only warn — they move whenever CI lands on a
-/// different machine, and perf access comes and goes with the
-/// container.
+/// beyond the gate ratios are hard failures; blocked-recv wait time,
+/// owner memory (the record's "mem.owned" byte gauges) and sampled
+/// error only warn — they move with the scheduler, the thread count
+/// and the allocator. Records in the older shape (per-phase hardware
+/// sampler fields) still read.
 ///
 ///   pkifmm_trend --history=<BENCH_history.jsonl>
 ///       [--bench=<name>]      # analyze only this bench's records
 ///       [--window=8]          # reference = median of last K records
-///       [--time-ratio=1.6] [--work-ratio=1.25] [--hw-ratio=1.5]
+///       [--time-ratio=1.6] [--work-ratio=1.25]
+///       [--mem-ratio=1.5]     # WARN bound per "mem.owned" key
 ///       [--err-ratio=4]       # WARN bound for the sampled relative
 ///                             # error of health-enabled runs
 ///       [--min-seconds=5e-2] [--min-flops=1e4]
 ///       [--report-out=<trend_report.json>]
 ///       [--warn-only]         # exit 0 even on hard regressions
-///       [--strict]            # promote hw/mem/wait warnings to hard
-///                             # failures (exit 1)
+///       [--strict]            # promote wait/mem/health warnings to
+///                             # hard failures (exit 1)
 ///
 /// Exit status: 0 = no regressions (including the first-run case of an
 /// empty history or a single record — nothing to gate against yet),
 /// 1 = regression detected, 2 = bad input (missing/unparseable
 /// history, unknown bench). --strict is for CI lanes pinned to one
-/// machine class, where hw counters ARE comparable; --warn-only wins
+/// machine class, where those signals ARE comparable; --warn-only wins
 /// if both are given.
 
 #include <algorithm>
@@ -85,7 +87,7 @@ static int run(int argc, char** argv) {
   opt.window = cli.get_int("window", opt.window);
   opt.time_ratio = cli.get_double("time-ratio", opt.time_ratio);
   opt.work_ratio = cli.get_double("work-ratio", opt.work_ratio);
-  opt.hw_ratio = cli.get_double("hw-ratio", opt.hw_ratio);
+  opt.mem_ratio = cli.get_double("mem-ratio", opt.mem_ratio);
   opt.err_ratio = cli.get_double("err-ratio", opt.err_ratio);
   opt.min_seconds = cli.get_double("min-seconds", opt.min_seconds);
   opt.min_flops = cli.get_double("min-flops", opt.min_flops);
@@ -135,7 +137,7 @@ static int run(int argc, char** argv) {
         recs.size() > static_cast<std::size_t>(opt.window) + 1
             ? recs.size() - static_cast<std::size_t>(opt.window) - 1
             : 0;
-    Table traj({"#", "git sha", "hw", "Wall (s)", "CPU (s)", "Flops",
+    Table traj({"#", "git sha", "Wall (s)", "CPU (s)", "Flops",
                 "Peak RSS"});
     for (std::size_t i = first; i < recs.size(); ++i) {
       const obs::Json& r = recs[i];
@@ -145,7 +147,6 @@ static int run(int argc, char** argv) {
               : 0.0;
       traj.add_row({std::to_string(i) + (i + 1 == recs.size() ? "*" : ""),
                     r.at("git_sha").as_string().substr(0, 12),
-                    r.at("hw_source").as_string(),
                     fixed(phase_total(r, "wall"), 3),
                     fixed(phase_total(r, "cpu"), 3),
                     sci(phase_total(r, "flops")), sci(rss)});
@@ -170,7 +171,7 @@ static int run(int argc, char** argv) {
                   analysis.at("warnings").size());
     }
     print_findings("Regressions (hard)", analysis.at("regressions"));
-    print_findings("Warnings (hw/mem/health, advisory)",
+    print_findings("Warnings (wait/mem/health, advisory)",
                    analysis.at("warnings"));
     std::printf("\n");
     benches.set(bench, analysis);
