@@ -234,7 +234,7 @@ void record_run(const std::string& kind, const ExperimentConfig& cfg,
           static_cast<std::int64_t>(obs::peak_rss_bytes()));
   run.set("mem", std::move(mem));
 
-  // Full per-rank snapshot (counters, histograms, span trace) in the
+  // Full per-rank snapshot (counters, gauges, span trace) in the
   // flat pkifmm.metrics.v1 schema.
   std::vector<obs::RankMetrics> ranks;
   ranks.reserve(reports.size());

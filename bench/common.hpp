@@ -96,11 +96,10 @@ Experiment run_fmm(const ExperimentConfig& cfg, const std::string& kernel);
 /// bench exits. The per-phase summaries in the metrics file are
 /// computed from the same RankReports and CostModel as the stdout
 /// tables, so the numbers agree to within formatting; each run also
-/// carries the process peak RSS and per-phase peak-RSS deltas. The
-/// summary merges all recorded runs (per-phase accumulators folded
-/// with Accumulator::merge); it is what `bench/baseline_check`
-/// compares against a checked-in BENCH_baseline.json and what the
-/// history record condenses for `tools/pkifmm_trend`.
+/// carries the process peak RSS. The summary merges all recorded runs
+/// (per-phase accumulators folded with Accumulator::merge); the
+/// history record condenses it for `tools/pkifmm_trend`, the perf-
+/// regression gate.
 /// Also parses `--flow-trace` / `--flow-capacity=<events>`
 /// (obs/flow.hpp message-flow tracing, off by default); apply_flow_flags
 /// copies them onto an FmmOptions, and run_fmm / run_gpu_fmm apply them

@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
   cfg.n_points = per_rank * p;
   cfg.opts.surface_n = 4;
   cfg.opts.max_points_per_leaf = 40;
-  // Intra-rank task pool (0 extra workers by default so the checked-in
-  // BENCH_baseline stays a serial-evaluator record).
+  // Intra-rank task pool (0 extra workers by default so the
+  // table2_breakdown records in BENCH_history.jsonl stay
+  // serial-evaluator records).
   cfg.opts.threads_per_rank = static_cast<int>(cli.get_int("threads", 1));
   cfg.opts.clamp_threads = cli.get_bool("clamp", true);
   Experiment exp = run_fmm(cfg, "stokes");

@@ -24,8 +24,7 @@ namespace pkifmm::comm {
 /// symmetry) but not double-charged by the default model.
 ///
 /// With a bound obs::Recorder every send also feeds the span tracer
-/// (so spans carry msgs/bytes deltas) and a per-phase message-size
-/// histogram ("comm.msg_bytes.<phase>"). Collectives report their
+/// (so spans carry msgs/bytes deltas). Collectives report their
 /// calls/rounds/msgs/bytes through collective() scopes, which is the
 /// accounting behind the paper's hypercube reduce-scatter claim
 /// (Algorithm 3's O(log p) rounds vs the owner scheme's O(p) messages).
@@ -33,20 +32,12 @@ class CostTracker {
  public:
   void set_phase(std::string phase) {
     phase_ = std::move(phase);
-    msg_hist_ = rec_ != nullptr
-                    ? rec_->histogram("comm.msg_bytes." + phase_)
-                    : nullptr;
     if (flow_ != nullptr) flow_->set_phase(phase_);
   }
   const std::string& phase() const { return phase_; }
 
-  /// Binds the per-rank recorder for span/histogram reporting.
-  void bind(obs::Recorder* rec) {
-    rec_ = rec;
-    msg_hist_ = rec_ != nullptr
-                    ? rec_->histogram("comm.msg_bytes." + phase_)
-                    : nullptr;
-  }
+  /// Binds the per-rank recorder for span reporting.
+  void bind(obs::Recorder* rec) { rec_ = rec; }
 
   /// Binds the per-rank flow recorder (owned by the caller — see the
   /// lifetime contract in obs/flow.hpp: the binder must publish() and
@@ -82,7 +73,6 @@ class CostTracker {
     ++total_msgs_sent_;
     total_bytes_sent_ += bytes;
     if (rec_ != nullptr) rec_->add_sent(1, bytes);
-    if (msg_hist_ != nullptr) msg_hist_->observe(static_cast<double>(bytes));
   }
   void on_recv(std::size_t bytes) {
     auto& c = phases_[phase_];
@@ -193,7 +183,6 @@ class CostTracker {
   std::uint64_t total_msgs_sent_ = 0;
   std::uint64_t total_bytes_sent_ = 0;
   obs::Recorder* rec_ = nullptr;
-  obs::Histogram* msg_hist_ = nullptr;
   obs::FlowRecorder* flow_ = nullptr;
   bool payload_digests_ = false;
   double payload_sent_ = 0.0;

@@ -29,7 +29,7 @@ Json stats_json(const Accumulator& a) {
   out.set("max", s.max);
   out.set("avg", s.avg);
   out.set("stddev", s.stddev);
-  out.set("sum", s.avg * static_cast<double>(s.count));
+  out.set("sum", a.sum());
   out.set("count", static_cast<std::int64_t>(s.count));
   // Omitted (not 1.0) when undefined — zero-wall phases and all-zero
   // metrics have no meaningful max/avg ratio (see Summary::has_imbalance).
@@ -550,6 +550,12 @@ Json summarize_runs(const std::string& bench,
   }
   doc.set("phases", std::move(phases));
 
+  // Cross-rank sum of one counter (exact for integer-valued counters);
+  // 0 when no rank recorded it.
+  auto metric_total = [&](const char* name) {
+    auto it = metric_aggs.find(name);
+    return it == metric_aggs.end() ? 0.0 : it->second.sum();
+  };
   if (have_flows) {
     Json flow = Json::object();
     flow.set("matched", fl_matched);
@@ -557,13 +563,6 @@ Json summarize_runs(const std::string& bench,
     flow.set("unmatched_recvs", fl_unmatched_recvs);
     flow.set("late_sender", fl_late_sender);
     flow.set("late_receiver", fl_late_receiver);
-    auto metric_total = [&](const char* name) -> double {
-      auto it = metric_aggs.find(name);
-      return it == metric_aggs.end()
-                 ? 0.0
-                 : it->second.mean() *
-                       static_cast<double>(it->second.count());
-    };
     flow.set("events", metric_total("flow.events"));
     flow.set("dropped", metric_total("flow.dropped"));
     flow.set("probes", metric_total("flow.probes"));
@@ -596,13 +595,6 @@ Json summarize_runs(const std::string& bench,
   // digests are integer-valued doubles, so summed comparisons are
   // exact well below 2^53).
   {
-    auto metric_total = [&](const char* name) -> double {
-      auto it = metric_aggs.find(name);
-      return it == metric_aggs.end()
-                 ? 0.0
-                 : it->second.mean() *
-                       static_cast<double>(it->second.count());
-    };
     auto metric_max = [&](const char* name) -> double {
       auto it = metric_aggs.find(name);
       return it == metric_aggs.end() || it->second.count() == 0
@@ -846,78 +838,6 @@ void validate_summary_json(const Json& doc) {
 void write_summary_json(const std::string& path, const Json& summary) {
   validate_summary_json(summary);
   write_json_file(path, summary);
-}
-
-Json compare_summaries(const Json& fresh, const Json& baseline,
-                       const GateOptions& opt) {
-  validate_summary_json(fresh);
-  validate_summary_json(baseline);
-  PKIFMM_CHECK_MSG(fresh.at("nranks").as_int() ==
-                       baseline.at("nranks").as_int(),
-                   "summaries ran at different rank counts ("
-                       << fresh.at("nranks").as_int() << " vs "
-                       << baseline.at("nranks").as_int()
-                       << "); not comparable");
-
-  Json violations = Json::array();
-  std::int64_t checked = 0;
-
-  const Json& bphases = baseline.at("phases");
-  const Json& fphases = fresh.at("phases");
-  for (const std::string& phase : bphases.keys()) {
-    if (!fphases.contains(phase)) {
-      Json v = Json::object();
-      v.set("phase", phase);
-      v.set("metric", "missing");
-      v.set("baseline", bphases.at(phase).at("wall").at("sum").as_double());
-      v.set("fresh", 0.0);
-      v.set("ratio", 0.0);
-      v.set("limit", 0.0);
-      violations.push_back(std::move(v));
-      continue;
-    }
-    const Json& bp = bphases.at(phase);
-    const Json& fp = fphases.at(phase);
-
-    struct Check {
-      const char* metric;
-      double limit;
-      double floor;
-    };
-    const Check checks[] = {
-        {"wall", opt.time_ratio, opt.min_seconds},
-        {"cpu", opt.time_ratio, opt.min_seconds},
-        {"flops", opt.work_ratio, opt.min_flops},
-        {"msgs_sent", opt.work_ratio, opt.min_msgs},
-        {"bytes_sent", opt.work_ratio, opt.min_bytes},
-    };
-    for (const Check& c : checks) {
-      const double base = bp.at(c.metric).at("sum").as_double();
-      const double now = fp.at(c.metric).at("sum").as_double();
-      // Machine-tolerance envelope: tiny phases are all noise. A fresh
-      // value below the floor passes outright; the baseline is clamped
-      // to the floor so growth from ~0 is still caught.
-      if (now < c.floor) continue;
-      ++checked;
-      const double ratio = now / std::max(base, c.floor);
-      if (ratio > c.limit) {
-        Json v = Json::object();
-        v.set("phase", phase);
-        v.set("metric", c.metric);
-        v.set("baseline", base);
-        v.set("fresh", now);
-        v.set("ratio", ratio);
-        v.set("limit", c.limit);
-        violations.push_back(std::move(v));
-      }
-    }
-  }
-
-  Json report = Json::object();
-  report.set("ok", violations.size() == 0);
-  report.set("checked", checked);
-  report.set("violations", std::move(violations));
-  return report;
 }
 
 }  // namespace pkifmm::obs

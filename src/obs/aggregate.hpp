@@ -1,8 +1,7 @@
 #pragma once
 /// \file aggregate.hpp
 /// \brief Cross-rank aggregation: per-rank RankMetrics snapshots ->
-/// one summary.json ("pkifmm.summary.v1"), plus the regression gate
-/// that compares two summaries.
+/// one summary.json ("pkifmm.summary.v1").
 ///
 /// The paper's headline evidence is cross-rank: Table II is Max/Avg
 /// per phase across 65K processes, Fig. 5 is per-rank flop variance,
@@ -86,8 +85,9 @@
 ///    the `comm.<phase>.msgs_sent|bytes_sent` counters and column sums
 ///    equal what each destination received (the tests pin both).
 ///
-/// Stats use util/stats.hpp's Welford Accumulator; multi-run merging
-/// (summarize_runs) folds per-run accumulators with
+/// Stats use util/stats.hpp's Accumulator (Welford mean/stddev; "sum"
+/// is its running sum, exact for integer-valued counters); multi-run
+/// merging (summarize_runs) folds per-run accumulators with
 /// Accumulator::merge(), it never revisits raw samples.
 
 #include <string>
@@ -118,34 +118,5 @@ void validate_summary_json(const Json& doc);
 
 /// Validates and writes a summary document.
 void write_summary_json(const std::string& path, const Json& summary);
-
-/// Thresholds for the perf-regression gate. Work metrics (flops,
-/// msgs, bytes) are exactly reproducible run-over-run, so their ratio
-/// bound is tight; wall/cpu time is measured on whatever machine CI
-/// lands on, so its bound is loose and phases below the absolute
-/// floors are skipped entirely (the machine-tolerance envelope).
-struct GateOptions {
-  double time_ratio = 1.6;    ///< fresh/baseline bound for wall & cpu
-  double work_ratio = 1.25;   ///< bound for flops / msgs / bytes
-  /// Ignore time checks below this. Simulated ranks are threads of one
-  /// process, so sub-50ms phase walls are dominated by scheduler
-  /// contention (2x swings rerun-to-rerun on the same machine); only
-  /// phases long enough to average the noise out are gated on time.
-  double min_seconds = 5e-2;
-  double min_flops = 1e4;     ///< ignore flop checks below this
-  double min_msgs = 16;       ///< ignore msg-count checks below this
-  double min_bytes = 4096;    ///< ignore byte checks below this
-};
-
-/// Compares a fresh summary against a baseline summary. Returns
-///   { "ok": bool, "checked": <int>, "violations": [
-///       { "phase", "metric", "baseline", "fresh", "ratio", "limit" },
-///       ... ] }
-/// A phase present in the baseline but absent from the fresh summary
-/// is itself a violation (metric "missing"); new phases in the fresh
-/// summary are ignored. Throws CheckFailure if either document fails
-/// validate_summary_json or the rank counts differ (not comparable).
-Json compare_summaries(const Json& fresh, const Json& baseline,
-                       const GateOptions& opt = {});
 
 }  // namespace pkifmm::obs

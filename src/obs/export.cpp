@@ -1,30 +1,11 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 namespace pkifmm::obs {
 
 namespace {
-
-Json hist_to_json(const Histogram& h) {
-  Json out = Json::object();
-  out.set("count", static_cast<std::int64_t>(h.count()));
-  out.set("sum", h.sum());
-  out.set("min", h.min());
-  out.set("max", h.max());
-  Json buckets = Json::array();
-  for (int b = 0; b < Histogram::kBuckets; ++b) {
-    if (h.buckets()[b] == 0) continue;
-    Json pair = Json::array();
-    pair.push_back(Json(static_cast<std::int64_t>(b)));
-    pair.push_back(Json(static_cast<std::int64_t>(h.buckets()[b])));
-    buckets.push_back(std::move(pair));
-  }
-  out.set("buckets", std::move(buckets));
-  return out;
-}
 
 Json map_to_json(const std::map<std::string, double>& m) {
   Json out = Json::object();
@@ -76,9 +57,6 @@ Json metrics_to_json(const std::vector<RankMetrics>& ranks) {
     jr.set("rank", static_cast<std::int64_t>(rm.rank));
     jr.set("counters", map_to_json(rm.counters));
     jr.set("gauges", map_to_json(rm.gauges));
-    Json hists = Json::object();
-    for (const auto& [name, h] : rm.histograms) hists.set(name, hist_to_json(h));
-    jr.set("histograms", std::move(hists));
     Json spans = Json::array();
     for (const SpanEvent& e : rm.spans) spans.push_back(span_to_json(e));
     jr.set("spans", std::move(spans));
@@ -101,82 +79,6 @@ Json metrics_to_json(const std::vector<RankMetrics>& ranks) {
   return doc;
 }
 
-namespace {
-
-std::map<std::string, double> json_to_map(const Json& obj) {
-  std::map<std::string, double> out;
-  for (const std::string& key : obj.keys()) out[key] = obj.at(key).as_double();
-  return out;
-}
-
-Histogram json_to_hist(const Json& obj) {
-  std::uint64_t buckets[Histogram::kBuckets] = {};
-  for (const Json& pair : obj.at("buckets").items()) {
-    const auto b = pair.at(std::size_t{0}).as_int();
-    PKIFMM_CHECK(b >= 0 && b < Histogram::kBuckets);
-    buckets[b] = static_cast<std::uint64_t>(pair.at(std::size_t{1}).as_int());
-  }
-  return Histogram::from_parts(
-      static_cast<std::uint64_t>(obj.at("count").as_int()),
-      obj.at("sum").as_double(), obj.at("min").as_double(),
-      obj.at("max").as_double(), buckets);
-}
-
-SpanEvent json_to_span(const Json& obj) {
-  SpanEvent e;
-  e.name = obj.at("name").as_string();
-  e.start = obj.at("start").as_double();
-  e.wall = obj.at("wall").as_double();
-  e.cpu = obj.at("cpu").as_double();
-  e.flops = static_cast<std::uint64_t>(obj.at("flops").as_int());
-  e.msgs = static_cast<std::uint64_t>(obj.at("msgs").as_int());
-  e.bytes = static_cast<std::uint64_t>(obj.at("bytes").as_int());
-  e.parent = static_cast<std::int32_t>(obj.at("parent").as_int());
-  e.depth = static_cast<std::int32_t>(obj.at("depth").as_int());
-  // tid is optional: documents written before the TaskPool worker spans
-  // existed carry only the rank thread (tid 0).
-  if (obj.contains("tid"))
-    e.tid = static_cast<std::int32_t>(obj.at("tid").as_int());
-  return e;
-}
-
-}  // namespace
-
-std::vector<RankMetrics> metrics_from_json(const Json& doc) {
-  validate_metrics_json(doc);
-  std::vector<RankMetrics> out;
-  for (const Json& jr : doc.at("ranks").items()) {
-    RankMetrics rm;
-    rm.rank = static_cast<int>(jr.at("rank").as_int());
-    rm.counters = json_to_map(jr.at("counters"));
-    rm.gauges = json_to_map(jr.at("gauges"));
-    const Json& hists = jr.at("histograms");
-    for (const std::string& name : hists.keys())
-      rm.histograms[name] = json_to_hist(hists.at(name));
-    for (const Json& js : jr.at("spans").items())
-      rm.spans.push_back(json_to_span(js));
-    // flows/flow_phases are optional: present only for --flow-trace runs.
-    if (jr.contains("flows")) {
-      for (const Json& jf : jr.at("flows").items()) {
-        FlowEvent e;
-        e.kind = static_cast<std::int32_t>(jf.at(std::size_t{0}).as_int());
-        e.peer = static_cast<std::int32_t>(jf.at(std::size_t{1}).as_int());
-        e.tag = static_cast<std::int32_t>(jf.at(std::size_t{2}).as_int());
-        e.seq = static_cast<std::int32_t>(jf.at(std::size_t{3}).as_int());
-        e.phase = static_cast<std::int32_t>(jf.at(std::size_t{4}).as_int());
-        e.bytes = jf.at(std::size_t{5}).as_int();
-        e.t0 = jf.at(std::size_t{6}).as_double();
-        e.t1 = jf.at(std::size_t{7}).as_double();
-        rm.flows.push_back(e);
-      }
-      for (const Json& jp : jr.at("flow_phases").items())
-        rm.flow_phases.push_back(jp.as_string());
-    }
-    out.push_back(std::move(rm));
-  }
-  return out;
-}
-
 void validate_metrics_json(const Json& doc) {
   PKIFMM_CHECK_MSG(doc.type() == Json::Type::kObject,
                    "metrics document must be a JSON object");
@@ -192,8 +94,7 @@ void validate_metrics_json(const Json& doc) {
                            doc.at("nranks").as_int(),
                    "nranks does not match ranks[] length");
   for (const Json& jr : ranks.items()) {
-    for (const char* field :
-         {"rank", "counters", "gauges", "histograms", "spans"})
+    for (const char* field : {"rank", "counters", "gauges", "spans"})
       PKIFMM_CHECK_MSG(jr.contains(field),
                        "rank entry missing '" << field << "'");
     std::int64_t nspans = static_cast<std::int64_t>(jr.at("spans").size());

@@ -1,7 +1,7 @@
 #pragma once
 /// \file export.hpp
 /// \brief Exporters: RankMetrics snapshots -> metrics.json / Chrome
-/// trace_event JSON, plus the inverse parse for round-trip testing.
+/// trace_event JSON.
 ///
 /// Schema "pkifmm.metrics.v1" (flat machine-readable metrics):
 ///
@@ -12,10 +12,8 @@
 ///       { "rank": <int>,
 ///         "counters":   { "<name>": <double>, ... },
 ///         "gauges":     { "<name>": <double>, ... },
-///         "histograms": { "<name>": { "count", "sum", "min", "max",
-///                                     "buckets": [[bucket, count], ...] } },
 ///         "spans": [ { "name", "start", "wall", "cpu", "flops",
-///                      "msgs", "bytes", "parent", "depth" }, ... ],
+///                      "msgs", "bytes", "parent", "depth", "tid" }, ... ],
 ///         "flows": [ [kind, peer, tag, seq, phase, bytes, t0, t1], ... ],
 ///         "flow_phases": [ "<phase>", ... ] },
 ///       ...
@@ -72,10 +70,6 @@ inline constexpr const char* kMetricsSchema = "pkifmm.metrics.v1";
 
 /// Serializes snapshots into the metrics.json schema above.
 Json metrics_to_json(const std::vector<RankMetrics>& ranks);
-
-/// Parses a metrics.json document back into snapshots (round-trip
-/// inverse of metrics_to_json; throws CheckFailure on schema errors).
-std::vector<RankMetrics> metrics_from_json(const Json& doc);
 
 /// Validates the structural schema of a metrics.json document; throws
 /// CheckFailure with a description of the first violation.

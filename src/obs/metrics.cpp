@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <ctime>
 
 namespace pkifmm::obs {
@@ -18,54 +17,6 @@ double wall_seconds() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();
   return std::chrono::duration<double>(Clock::now() - epoch).count();
-}
-
-void Histogram::observe(double v) {
-  PKIFMM_DCHECK(v >= 0.0);
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  int b = 0;
-  if (v > 1.0)
-    b = std::clamp(static_cast<int>(std::ceil(std::log2(v))), 1, kBuckets - 1);
-  ++buckets_[b];
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-}
-
-Histogram Histogram::from_parts(std::uint64_t count, double sum, double min,
-                                double max,
-                                const std::uint64_t (&buckets)[kBuckets]) {
-  Histogram h;
-  h.count_ = count;
-  h.sum_ = sum;
-  h.min_ = min;
-  h.max_ = max;
-  std::copy(buckets, buckets + kBuckets, h.buckets_);
-  return h;
-}
-
-bool Histogram::operator==(const Histogram& other) const {
-  return count_ == other.count_ && sum_ == other.sum_ &&
-         min_ == other.min_ && max_ == other.max_ &&
-         std::equal(buckets_, buckets_ + kBuckets, other.buckets_);
 }
 
 double RankMetrics::child_wall_sum(std::size_t i) const {

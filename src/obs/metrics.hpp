@@ -7,8 +7,8 @@
 /// the message/round counts behind the hypercube reduce-scatter claim).
 /// obs is the single substrate all of that reports into:
 ///
-///  - Recorder: one per simulated rank. Counters, gauges, per-phase
-///    histograms, and a span-based tracer. Every completed span records
+///  - Recorder: one per simulated rank. Counters, gauges and a
+///    span-based tracer. Every completed span records
 ///    (name, start, wall, cpu, flops, msgs, bytes, parent) where the
 ///    flop/msg/byte attribution is the delta of the rank totals between
 ///    span open and close — so nested spans never double-count.
@@ -35,43 +35,6 @@ double thread_cpu_seconds();
 
 /// Monotonic wall-clock seconds since an arbitrary process epoch.
 double wall_seconds();
-
-/// Power-of-two-bucketed histogram for nonnegative samples (message
-/// sizes, per-leaf interaction counts, span durations in microseconds).
-/// Bucket b counts samples in (2^(b-1), 2^b]; bucket 0 counts samples
-/// <= 1.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void observe(double v);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double mean() const {
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-  }
-  const std::uint64_t* buckets() const { return buckets_; }
-
-  /// Elementwise merge (for cross-rank aggregation).
-  void merge(const Histogram& other);
-
-  /// Rebuilds a histogram from serialized parts (export round-trip).
-  static Histogram from_parts(std::uint64_t count, double sum, double min,
-                              double max,
-                              const std::uint64_t (&buckets)[kBuckets]);
-
-  bool operator==(const Histogram& other) const;
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t buckets_[kBuckets] = {};
-};
 
 /// One completed span: a named interval on one rank, with the work and
 /// communication attributed to it (deltas of the rank totals between
@@ -117,7 +80,6 @@ struct RankMetrics {
   int rank = 0;
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Histogram> histograms;
   std::vector<SpanEvent> spans;
   std::vector<FlowEvent> flows;          ///< per-message trace (flow on)
   std::vector<std::string> flow_phases;  ///< interned phase names
@@ -153,14 +115,6 @@ class Recorder {
   }
   void gauge_set(const std::string& name, double v) {
     metrics_.gauges[name] = v;
-  }
-  void observe(const std::string& name, double v) {
-    metrics_.histograms[name].observe(v);
-  }
-  /// Stable histogram handle for hot paths (per-message observes): the
-  /// pointer stays valid for the recorder's lifetime.
-  Histogram* histogram(const std::string& name) {
-    return &metrics_.histograms[name];
   }
 
   // --- span attribution feeds --------------------------------------

@@ -1,9 +1,7 @@
 #include "obs/trend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "obs/aggregate.hpp"
 #include "obs/hw.hpp"
@@ -12,24 +10,7 @@ namespace pkifmm::obs {
 
 namespace {
 
-/// Per-phase metrics copied from the summary's `<prefix><phase><suffix>`
-/// flat counters into the run record, warn-gated by trend_analyze.
-struct AuxMetric {
-  const char* prefix;  ///< counter namespace
-  const char* suffix;  ///< counter suffix incl. leading dot
-  const char* key;     ///< key in the record's phase object
-  double TrendOptions::* floor;  ///< skip values below this
-  double TrendOptions::* ratio;  ///< warn bound
-};
-const AuxMetric kAuxMetrics[] = {
-    // Blocked-recv time per phase (--flow-trace runs): warn-only —
-    // wait time is scheduler-sensitive, and gating hard on it would
-    // make every loaded CI box a false failure.
-    {"wait.", ".seconds", "wait_seconds", &TrendOptions::min_seconds,
-     &TrendOptions::time_ratio},
-};
-
-/// Hard-gated metrics (GateOptions semantics). Floors resolved from
+/// Hard-gated metrics: ratio bound and absolute floor, resolved from
 /// TrendOptions at check time.
 struct HardMetric {
   const char* key;
@@ -49,6 +30,20 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t mid = v.size() / 2;
   return v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// True when `ref` may serve as a reference for `fresh`: same rank
+/// count, and every config key both records carry has the same value
+/// (keys only one of them carries are ignored, so records written
+/// before or after a config key was added still compare).
+bool comparable(const Json& fresh, const Json& ref) {
+  if (fresh.at("nranks").as_int() != ref.at("nranks").as_int()) return false;
+  if (!fresh.contains("config") || !ref.contains("config")) return true;
+  const Json& fc = fresh.at("config");
+  const Json& rc = ref.at("config");
+  for (const std::string& key : fc.keys())
+    if (rc.contains(key) && rc.at(key) != fc.at(key)) return false;
+  return true;
 }
 
 Json finding(const std::string& phase, const std::string& metric,
@@ -89,11 +84,9 @@ Json run_record_from_summary(const Json& summary, const std::string& bench,
     Json p = Json::object();
     for (const char* f : {"wall", "cpu", "flops", "msgs_sent", "bytes_sent"})
       p.set(f, sp.at(f).at("sum").as_double());
-    for (const AuxMetric& m : kAuxMetrics) {
-      const double v =
-          metric_sum(std::string(m.prefix) + name + m.suffix);
-      if (v >= 0.0) p.set(m.key, v);
-    }
+    // Blocked-recv seconds, present only for --flow-trace runs.
+    const double wait = metric_sum("wait." + name + ".seconds");
+    if (wait >= 0.0) p.set("wait_seconds", wait);
     phases.set(name, std::move(p));
   }
   rec.set("phases", std::move(phases));
@@ -145,6 +138,9 @@ void validate_run_json(const Json& doc) {
   PKIFMM_CHECK_MSG(doc.contains("phases") &&
                        doc.at("phases").type() == Json::Type::kObject,
                    "run record missing 'phases' object");
+  PKIFMM_CHECK_MSG(!doc.contains("config") ||
+                       doc.at("config").type() == Json::Type::kObject,
+                   "run record 'config' is not an object");
   for (const std::string& name : doc.at("phases").keys()) {
     const Json& p = doc.at("phases").at(name);
     PKIFMM_CHECK_MSG(p.type() == Json::Type::kObject,
@@ -202,151 +198,134 @@ Json trend_analyze(const std::vector<Json>& records,
                    const TrendOptions& opt) {
   for (const Json& r : records) validate_run_json(r);
 
-  Json report = Json::object();
   Json regressions = Json::array();
   Json warnings = Json::array();
   std::int64_t checked = 0;
 
-  if (records.size() < 2) {
-    report.set("ok", true);
-    report.set("checked", checked);
-    report.set("window", 0);
-    report.set("newest_sha",
-               records.empty() ? "" : records.back().at("git_sha")
-                                          .as_string());
-    report.set("regressions", std::move(regressions));
-    report.set("warnings", std::move(warnings));
-    return report;
+  // References: up to opt.window records before the newest that are
+  // comparable with it, newest first. A record from another rank count
+  // or configuration never counts, however recent.
+  std::vector<std::size_t> refs;
+  if (!records.empty()) {
+    const std::size_t want =
+        static_cast<std::size_t>(std::max(1, opt.window));
+    for (std::size_t i = records.size() - 1; i-- > 0 && refs.size() < want;)
+      if (comparable(records.back(), records[i])) refs.push_back(i);
   }
 
-  const Json& fresh = records.back();
-  const std::size_t navail = records.size() - 1;
-  const std::size_t nref =
-      std::min<std::size_t>(navail, static_cast<std::size_t>(
-                                        std::max(1, opt.window)));
-  // Reference slice: the nref records immediately preceding the newest.
-  const std::size_t ref0 = navail - nref;
-
-  // Union of phase names across reference records, in first-seen order.
-  std::vector<std::string> phase_names;
-  for (std::size_t i = ref0; i < navail; ++i)
-    for (const std::string& name : records[i].at("phases").keys())
-      if (std::find(phase_names.begin(), phase_names.end(), name) ==
-          phase_names.end())
-        phase_names.push_back(name);
-
-  const Json& fphases = fresh.at("phases");
-  for (const std::string& phase : phase_names) {
-    // Median over the reference records that have (phase, metric).
-    auto ref_median = [&](const char* metric) -> std::vector<double> {
-      std::vector<double> vals;
-      for (std::size_t i = ref0; i < navail; ++i) {
-        const Json& ph = records[i].at("phases");
-        if (ph.contains(phase) && ph.at(phase).contains(metric))
-          vals.push_back(ph.at(phase).at(metric).as_double());
-      }
-      return vals;
-    };
-
-    if (!fphases.contains(phase)) {
-      // Phase disappeared: only flag if every reference record had it
-      // (a phase present in one noisy record should not hard-fail).
-      const std::vector<double> walls = ref_median("wall");
-      if (walls.size() == nref)
-        regressions.push_back(
-            finding(phase, "missing", median(walls), 0.0, 0.0, 0.0));
-      continue;
-    }
-    const Json& fp = fphases.at(phase);
-
-    for (const HardMetric& m : kHardMetrics) {
-      if (!fp.contains(m.key)) continue;
-      const std::vector<double> vals = ref_median(m.key);
-      if (vals.empty()) continue;
-      const double now = fp.at(m.key).as_double();
-      const double floor = opt.*(m.floor);
-      if (now < floor) continue;
-      ++checked;
-      const double ref = median(vals);
-      const double ratio = now / std::max(ref, floor);
-      if (ratio > opt.*(m.ratio))
-        regressions.push_back(
-            finding(phase, m.key, ref, now, ratio, opt.*(m.ratio)));
-    }
-    for (const AuxMetric& m : kAuxMetrics) {
-      if (!fp.contains(m.key)) continue;
-      const std::vector<double> vals = ref_median(m.key);
-      if (vals.empty()) continue;
-      const double now = fp.at(m.key).as_double();
-      const double floor = opt.*(m.floor);
-      if (now < floor) continue;
-      ++checked;
-      const double ref = median(vals);
-      const double ratio = now / std::max(ref, floor);
-      if (ratio > opt.*(m.ratio))
-        warnings.push_back(
-            finding(phase, m.key, ref, now, ratio, opt.*(m.ratio)));
-    }
-  }
-
-  // Owner byte gauges: warn-only, like the other machine-dependent
-  // signals (scratch capacities follow the thread count and the
-  // allocator's growth policy).
-  auto owned_of = [](const Json& r) -> const Json* {
-    return r.contains("mem") && r.at("mem").contains("owned")
-               ? &r.at("mem").at("owned")
-               : nullptr;
+  // Compares one fresh value with the median of its reference values.
+  // A fresh value under `floor` is noise and passes unchecked; the
+  // reference is clamped to the floor so growth from ~0 still shows.
+  auto check = [&](const std::string& phase, const std::string& metric,
+                   const std::vector<double>& vals, double now,
+                   double floor, double limit, Json& sink) {
+    if (vals.empty() || now < floor) return;
+    ++checked;
+    const double ref = median(vals);
+    const double ratio = now / std::max(ref, floor);
+    if (ratio > limit)
+      sink.push_back(finding(phase, metric, ref, now, ratio, limit));
   };
-  if (const Json* fowned = owned_of(fresh)) {
-    for (const std::string& key : fowned->keys()) {
+
+  if (!refs.empty()) {
+    const Json& fresh = records.back();
+    const Json& fphases = fresh.at("phases");
+
+    // Union of phase names across the references, in first-seen order.
+    std::vector<std::string> phase_names;
+    for (std::size_t i : refs)
+      for (const std::string& name : records[i].at("phases").keys())
+        if (std::find(phase_names.begin(), phase_names.end(), name) ==
+            phase_names.end())
+          phase_names.push_back(name);
+
+    for (const std::string& phase : phase_names) {
+      // Values of (phase, metric) over the references that have it.
+      auto ref_values = [&](const char* metric) {
+        std::vector<double> vals;
+        for (std::size_t i : refs) {
+          const Json& ph = records[i].at("phases");
+          if (ph.contains(phase) && ph.at(phase).contains(metric))
+            vals.push_back(ph.at(phase).at(metric).as_double());
+        }
+        return vals;
+      };
+
+      if (!fphases.contains(phase)) {
+        // Missing when the newest reference still ran the phase; one
+        // that only older references have was already gone before.
+        const Json& newest = records[refs.front()].at("phases");
+        if (newest.contains(phase))
+          regressions.push_back(
+              finding(phase, "missing",
+                      newest.at(phase).at("wall").as_double(), 0.0, 0.0,
+                      0.0));
+        continue;
+      }
+      const Json& fp = fphases.at(phase);
+      for (const HardMetric& m : kHardMetrics)
+        if (fp.contains(m.key))
+          check(phase, m.key, ref_values(m.key), fp.at(m.key).as_double(),
+                opt.*(m.floor), opt.*(m.ratio), regressions);
+      // Blocked-recv time (--flow-trace runs): warn-only, because wait
+      // time moves with the scheduler and a loaded CI box would fail.
+      if (fp.contains("wait_seconds"))
+        check(phase, "wait_seconds", ref_values("wait_seconds"),
+              fp.at("wait_seconds").as_double(), opt.min_seconds,
+              opt.time_ratio, warnings);
+    }
+
+    // Owner byte gauges: warn-only, like the other machine-dependent
+    // signals (scratch capacities follow the thread count and the
+    // allocator's growth policy).
+    auto owned_of = [](const Json& r) -> const Json* {
+      return r.contains("mem") && r.at("mem").contains("owned")
+                 ? &r.at("mem").at("owned")
+                 : nullptr;
+    };
+    if (const Json* fowned = owned_of(fresh)) {
+      for (const std::string& key : fowned->keys()) {
+        std::vector<double> vals;
+        for (std::size_t i : refs) {
+          const Json* o = owned_of(records[i]);
+          if (o != nullptr && o->contains(key))
+            vals.push_back(o->at(key).as_double());
+        }
+        check("mem.owned", key, vals, fowned->at(key).as_double(),
+              opt.min_mem_bytes, opt.mem_ratio, warnings);
+      }
+    }
+
+    // Sampled-error trend (health-enabled runs): warn-only, against the
+    // median of the references that carry the field. Accuracy is
+    // configuration-determined, not machine-determined, but benches mix
+    // health-on and health-off records in one history, so a hard gate
+    // would mis-fire whenever the field's presence flips.
+    if (fresh.contains("health") &&
+        fresh.at("health").contains("sampled_rel_err")) {
       std::vector<double> vals;
-      for (std::size_t i = ref0; i < navail; ++i) {
-        const Json* o = owned_of(records[i]);
-        if (o != nullptr && o->contains(key))
-          vals.push_back(o->at(key).as_double());
-      }
-      if (vals.empty()) continue;
-      const double now = fowned->at(key).as_double();
-      if (now < opt.min_mem_bytes) continue;
-      ++checked;
-      const double ref = median(vals);
-      const double ratio = now / std::max(ref, opt.min_mem_bytes);
-      if (ratio > opt.mem_ratio)
-        warnings.push_back(
-            finding("mem.owned", key, ref, now, ratio, opt.mem_ratio));
+      for (std::size_t i : refs)
+        if (records[i].contains("health"))
+          vals.push_back(
+              records[i].at("health").at("sampled_rel_err").as_double());
+      check("health", "sampled_rel_err", vals,
+            fresh.at("health").at("sampled_rel_err").as_double(),
+            opt.min_err, opt.err_ratio, warnings);
     }
   }
 
-  // Sampled-error trend (health-enabled runs): warn-only, against the
-  // median of the reference records that carry the field. Accuracy is
-  // configuration-determined, not machine-determined, but benches mix
-  // health-on and health-off records in one history, so a hard gate
-  // would mis-fire whenever the field's presence flips.
-  if (fresh.contains("health")) {
-    const Json& fh = fresh.at("health");
-    std::vector<double> vals;
-    for (std::size_t i = ref0; i < navail; ++i)
-      if (records[i].contains("health"))
-        vals.push_back(
-            records[i].at("health").at("sampled_rel_err").as_double());
-    if (!vals.empty() && fh.contains("sampled_rel_err")) {
-      const double now = fh.at("sampled_rel_err").as_double();
-      if (now >= opt.min_err) {
-        ++checked;
-        const double ref = median(vals);
-        const double ratio = now / std::max(ref, opt.min_err);
-        if (ratio > opt.err_ratio)
-          warnings.push_back(finding("health", "sampled_rel_err", ref, now,
-                                     ratio, opt.err_ratio));
-      }
-    }
-  }
+  Json references = Json::array();
+  for (auto it = refs.rbegin(); it != refs.rend(); ++it)
+    references.push_back(Json(static_cast<std::int64_t>(*it)));
 
+  Json report = Json::object();
   report.set("ok", regressions.size() == 0 &&
                        (!opt.strict || warnings.size() == 0));
   report.set("checked", checked);
-  report.set("window", static_cast<std::int64_t>(nref));
-  report.set("newest_sha", fresh.at("git_sha").as_string());
+  report.set("window", static_cast<std::int64_t>(refs.size()));
+  report.set("references", std::move(references));
+  report.set("newest_sha",
+             records.empty() ? "" : records.back().at("git_sha").as_string());
   report.set("regressions", std::move(regressions));
   report.set("warnings", std::move(warnings));
   return report;

@@ -3,11 +3,9 @@
 /// \brief Bench-trajectory records ("pkifmm.run.v1") and trend
 /// analysis over BENCH_history.jsonl.
 ///
-/// The perf gate (aggregate.hpp compare_summaries) answers "is this
-/// run worse than the one checked-in baseline?". Trend records answer
-/// the longitudinal question — "how has each phase moved over the last
-/// K runs?" — which is what catches the slow drift a single baseline
-/// ratio absorbs. Every bench appends one compact line per run:
+/// This is the one perf-regression gate: "is this run worse than the
+/// last K comparable runs, phase by phase?". Every bench appends one
+/// compact line per run:
 ///
 ///   {
 ///     "schema": "pkifmm.run.v1",
@@ -40,12 +38,13 @@
 /// truncated last line (crashed bench) only loses that run.
 ///
 /// trend_analyze compares the newest record against the *median* of
-/// the previous `window` records per (phase, metric) — the median
-/// keeps one noisy CI machine from poisoning the reference. Time and
-/// work metrics gate with the same ratios/floors as GateOptions
-/// (hard-fail); blocked-recv wait time, owner memory and sampled error
-/// only ever WARN, because they move with the scheduler, the thread
-/// count and the allocator. Records written by the retired hardware
+/// the previous `window` comparable records per (phase, metric) — the
+/// median keeps one noisy CI machine from poisoning the reference. A
+/// record is comparable when it has the newest record's rank count and
+/// the same value for every config key both carry. Time and work
+/// metrics hard-fail; blocked-recv wait time, owner memory and sampled
+/// error only ever WARN, because they move with the scheduler, the
+/// thread count and the allocator. Records written by the retired hardware
 /// sampler still read; its per-phase fields are ignored.
 
 #include <string>
@@ -78,16 +77,19 @@ void append_run_record(const std::string& path, const Json& record);
 /// on unreadable files or lines that fail to parse/validate.
 std::vector<Json> read_run_history(const std::string& path);
 
-/// Thresholds for trend_analyze. Time/work ratios and floors mirror
-/// GateOptions; owner memory gets its own ratio and is warn-only
-/// regardless.
+/// Thresholds for trend_analyze. Work metrics (flops, msgs, bytes) are
+/// exactly reproducible run-over-run, so their ratio is tight; wall/cpu
+/// time depends on the machine, so its ratio is loose and values below
+/// the floors are skipped (simulated ranks are threads of one process,
+/// so sub-50 ms phase walls are scheduler noise). Owner memory gets its
+/// own ratio and is warn-only regardless.
 struct TrendOptions {
-  int window = 8;             ///< reference = median of last `window`
-                              ///< records before the newest
+  int window = 8;             ///< reference = median of the last
+                              ///< `window` comparable records
   double time_ratio = 1.6;    ///< hard bound for wall & cpu
   double work_ratio = 1.25;   ///< hard bound for flops / msgs / bytes
   double mem_ratio = 1.5;     ///< WARN bound for each "mem.owned" key
-  double min_seconds = 5e-2;  ///< floors, as in GateOptions
+  double min_seconds = 5e-2;  ///< floors: skip values below these
   double min_flops = 1e4;
   double min_msgs = 16;
   double min_bytes = 4096;
@@ -108,18 +110,20 @@ struct TrendOptions {
 
 /// Analyzes records of ONE bench, ordered oldest -> newest. The newest
 /// record is compared per phase against the median of up to
-/// opt.window preceding records. Returns
+/// opt.window preceding comparable records (same "nranks", equal
+/// values for the "config" keys both records carry). Returns
 ///   { "ok": bool,                  // no hard regressions
 ///     "checked": <int>, "window": <int>,  // references actually used
+///     "references": [<int>, ...],  // their indices, oldest first
 ///     "newest_sha": "<sha>",
 ///     "regressions": [ { "phase", "metric", "reference", "fresh",
 ///                        "ratio", "limit" }, ... ],
 ///     "warnings":   [ ...same shape, warn-only metrics; owner
 ///                     memory has phase "mem.owned" and the owned
 ///                     key as metric... ] }
-/// A phase present in every reference record but missing from the
-/// newest is a regression with metric "missing". Fewer than 2 records
-/// yields ok with checked = 0 (nothing to compare yet). Throws
+/// A phase the newest reference has but the newest record lacks is a
+/// regression with metric "missing". No comparable reference yields ok
+/// with window = checked = 0 (nothing to compare yet). Throws
 /// CheckFailure if any record fails validate_run_json.
 Json trend_analyze(const std::vector<Json>& records,
                    const TrendOptions& opt = {});

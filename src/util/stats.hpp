@@ -60,11 +60,14 @@ struct Summary {
   }
 };
 
-/// Online mean/variance accumulator (Welford).
+/// Online mean/variance accumulator (Welford), plus a plain running
+/// sum: avg × count drifts by an ulp on integer totals (byte counts,
+/// digests), the running sum is exact for them.
 class Accumulator {
  public:
   void add(double x) {
     ++n_;
+    sum_ += x;
     const double d = x - mean_;
     mean_ += d / static_cast<double>(n_);
     m2_ += d * (x - mean_);
@@ -91,11 +94,13 @@ class Accumulator {
     m2_ += other.m2_ + d * d * na * nb / (na + nb);
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
+    sum_ += other.sum_;
     n_ += other.n_;
   }
 
   std::size_t count() const { return n_; }
   double mean() const { return mean_; }
+  double sum() const { return sum_; }
   double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
@@ -107,6 +112,7 @@ class Accumulator {
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
+  double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -56,7 +56,6 @@ void TaskPool::submit(Group& g, std::string name,
                                 static_cast<std::uint64_t>(workers()));
   {
     std::lock_guard<std::mutex> lock(lanes_[lane]->mu);
-    lanes_[lane]->depth.observe(static_cast<double>(lanes_[lane]->q.size()));
     lanes_[lane]->q.push_back(Task{std::move(fn), &g, std::move(name)});
   }
   {
@@ -246,8 +245,6 @@ void TaskPool::fold_stats(obs::Recorder& rec) {
       e.tid = b.lane;
       rec.record_span(std::move(e));
     }
-    rec.histogram("sched.queue_depth")->merge(l.depth);
-    l.depth = obs::Histogram();
     l.tasks = 0;
     l.steals = 0;
     l.busy = 0.0;

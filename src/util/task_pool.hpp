@@ -123,7 +123,6 @@ class TaskPool {
   ///   sched.steals             tasks taken from a foreign deque
   ///   sched.busy.w<k>          busy seconds of lane k
   ///   sched.lifetime_seconds   seconds since construction / last fold
-  ///   sched.queue_depth        histogram of deque depth at submit
   /// and appends the coalesced burst spans of the worker lanes with
   /// tid = lane (lane 0's bursts are NOT re-emitted as spans — the rank
   /// thread's time is already measured by its PhaseTimer spans). All
@@ -163,10 +162,6 @@ class TaskPool {
     std::uint64_t steals = 0;
     double busy = 0.0;
     std::vector<Burst> bursts;
-    /// Push-time depth samples of THIS lane's deque, guarded by `mu`
-    /// like the deque itself; fold_stats merges the lanes into
-    /// sched.queue_depth.
-    obs::Histogram depth;
   };
 
   void worker_loop(int lane);

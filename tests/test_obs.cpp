@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trend.hpp"
 #include "octree/points.hpp"
+#include "expect_metrics_json.hpp"
 #include "util/check.hpp"
 #include "util/flops.hpp"
 #include "util/timer.hpp"
@@ -88,35 +89,6 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW(Json::parse("nul"), CheckFailure);
 }
 
-// ----------------------------------------------------------- Histogram
-
-TEST(Histogram, BucketsAndRoundTrip) {
-  Histogram h;
-  h.observe(0.5);  // bucket 0
-  h.observe(1.0);  // bucket 0
-  h.observe(2.0);  // bucket 1
-  h.observe(1000.0);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1003.5);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[1], 1u);
-  EXPECT_EQ(h.buckets()[10], 1u);  // 2^9 < 1000 <= 2^10
-
-  Histogram other;
-  other.observe(4096.0);
-  h.merge(other);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.buckets()[12], 1u);
-
-  std::uint64_t buckets[Histogram::kBuckets];
-  for (int i = 0; i < Histogram::kBuckets; ++i) buckets[i] = h.buckets()[i];
-  const Histogram rebuilt =
-      Histogram::from_parts(h.count(), h.sum(), h.min(), h.max(), buckets);
-  EXPECT_TRUE(rebuilt == h);
-}
-
 // ------------------------------------------------------------ Recorder
 
 TEST(Recorder, SpanAttributionIsDeltaBased) {
@@ -184,7 +156,6 @@ std::vector<RankMetrics> sample_ranks() {
     }
     rec.counter_add("flops.eval.s2u", 1000.0 + 7 * r);
     rec.gauge_set("tree.leaves", 42.0 + r);
-    rec.observe("comm.msg_bytes.eval.comm", 4096.0);
     out.push_back(rec.snapshot());
   }
   return out;
@@ -201,26 +172,22 @@ TEST(Export, MetricsJsonRoundTrip) {
       doc.at("totals").at("counters").at("flops.eval.s2u").as_double(),
       2007.0);
 
-  // Serialize -> parse -> rebuild -> serialize: must be identical.
-  const Json reparsed = Json::parse(doc.dump(2));
-  EXPECT_EQ(reparsed, doc);
-  const std::vector<RankMetrics> back = metrics_from_json(reparsed);
-  ASSERT_EQ(back.size(), ranks.size());
-  for (std::size_t r = 0; r < ranks.size(); ++r) {
-    EXPECT_EQ(back[r].rank, ranks[r].rank);
-    EXPECT_EQ(back[r].counters, ranks[r].counters);
-    EXPECT_EQ(back[r].gauges, ranks[r].gauges);
-    EXPECT_TRUE(back[r].histograms.at("comm.msg_bytes.eval.comm") ==
-                ranks[r].histograms.at("comm.msg_bytes.eval.comm"));
-    ASSERT_EQ(back[r].spans.size(), ranks[r].spans.size());
-    for (std::size_t i = 0; i < ranks[r].spans.size(); ++i) {
-      EXPECT_EQ(back[r].spans[i].name, ranks[r].spans[i].name);
-      EXPECT_EQ(back[r].spans[i].flops, ranks[r].spans[i].flops);
-      EXPECT_EQ(back[r].spans[i].parent, ranks[r].spans[i].parent);
-      EXPECT_EQ(back[r].spans[i].wall, ranks[r].spans[i].wall);
-    }
-  }
-  EXPECT_EQ(metrics_to_json(back), doc);
+  // Serialize -> parse: the text holds every recorded value exactly,
+  // including a worker-lane span's tid.
+  std::vector<RankMetrics> with_worker = ranks;
+  SpanEvent burst;
+  burst.name = "eval.uli";
+  burst.start = 0.25;
+  burst.wall = 0.125;
+  burst.cpu = 0.1;
+  burst.tid = 2;
+  with_worker[1].spans.push_back(burst);
+  const Json wdoc = metrics_to_json(with_worker);
+  const Json reparsed = Json::parse(wdoc.dump(2));
+  EXPECT_EQ(reparsed, wdoc);
+  expect_metrics_json(reparsed, with_worker);
+  EXPECT_EQ(reparsed.at("ranks").at(1).at("spans").at(3).at("tid").as_int(),
+            2);
 }
 
 TEST(Export, FileRoundTrip) {
@@ -228,9 +195,9 @@ TEST(Export, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "pkifmm_metrics_test.json";
   write_metrics_json(path, ranks);
   const Json doc = read_json_file(path);
-  validate_metrics_json(doc);
-  EXPECT_EQ(doc, metrics_to_json(ranks));
   std::remove(path.c_str());
+  validate_metrics_json(doc);
+  expect_metrics_json(doc, ranks);
 }
 
 TEST(Export, ValidatorRejectsBrokenDocuments) {
@@ -395,6 +362,39 @@ TEST(Aggregate, SummaryStatsMatchHandComputedValues) {
   EXPECT_DOUBLE_EQ(ph.at("msgs_sent").at("sum").as_double(), 200.0);
   EXPECT_DOUBLE_EQ(ph.at("bytes_sent").at("sum").as_double(), 2.0e5);
   EXPECT_DOUBLE_EQ(ph.at("wall").at("imbalance").as_double(), 1.5);
+}
+
+TEST(Aggregate, SumsAreExact) {
+  // Welford's avg × count gives 6.999999999999999 for {1, 1, 5}; byte
+  // and digest totals must come out exact.
+  std::vector<RankMetrics> ranks(3);
+  const double values[] = {1.0, 1.0, 5.0};
+  for (int r = 0; r < 3; ++r) {
+    ranks[r].rank = r;
+    ranks[r].counters["x"] = values[r];
+    ranks[r].gauges["mem.x_bytes"] = values[r];
+  }
+  const Json doc = summarize_metrics(ranks);
+  EXPECT_EQ(doc.at("metrics").at("x").at("sum").as_double(), 7.0);
+  EXPECT_EQ(doc.at("gauges").at("mem.x_bytes").at("sum").as_double(), 7.0);
+}
+
+TEST(Aggregate, HealthDigestsMatchOnExactSums) {
+  // The denominator digest sums to 7 over ranks {1, 1, 5} and the
+  // ghost digest to 7 over {0, 0, 7}: the totals balance, so the health
+  // section must not report a mismatch.
+  std::vector<RankMetrics> ranks(3);
+  const double den[] = {1.0, 1.0, 5.0};
+  const double ghost[] = {0.0, 0.0, 7.0};
+  for (int r = 0; r < 3; ++r) {
+    ranks[r].rank = r;
+    ranks[r].counters["health.digest.den"] = den[r];
+    ranks[r].counters["health.digest.ghost"] = ghost[r];
+  }
+  const Json dig = summarize_metrics(ranks).at("health").at("digests");
+  EXPECT_EQ(dig.at("den").as_double(), 7.0);
+  EXPECT_EQ(dig.at("ghost").as_double(), 7.0);
+  EXPECT_TRUE(dig.at("ghost_match").as_bool());
 }
 
 TEST(Aggregate, RankMissingACounterContributesZero) {
@@ -622,71 +622,6 @@ TEST(Aggregate, CommMatrixMarginalsMatchCounters) {
   }
 }
 
-// ------------------------------------------------- Regression gate
-
-TEST(Gate, IdenticalSummariesPass) {
-  const Json base = summarize_metrics({synth_rank(0, 1.0), synth_rank(1, 1.0)});
-  const Json report = compare_summaries(base, base);
-  EXPECT_TRUE(report.at("ok").as_bool());
-  EXPECT_GT(report.at("checked").as_int(), 0);
-  EXPECT_EQ(report.at("violations").size(), 0u);
-}
-
-TEST(Gate, InflatedSummaryFails) {
-  const Json base = summarize_metrics({synth_rank(0, 1.0), synth_rank(1, 1.0)});
-  // Everything doubled: wall/cpu blow the 1.6x time bound, flops/msgs/
-  // bytes blow the 1.25x work bound -> all five checks violated.
-  const Json slow = summarize_metrics({synth_rank(0, 2.0), synth_rank(1, 2.0)});
-  const Json report = compare_summaries(slow, base);
-  EXPECT_FALSE(report.at("ok").as_bool());
-  const auto& violations = report.at("violations").items();
-  ASSERT_EQ(violations.size(), 5u);
-  std::set<std::string> metrics;
-  for (const Json& v : violations) {
-    EXPECT_EQ(v.at("phase").as_string(), "eval.uli");
-    EXPECT_DOUBLE_EQ(v.at("ratio").as_double(), 2.0);
-    metrics.insert(v.at("metric").as_string());
-  }
-  EXPECT_EQ(metrics, (std::set<std::string>{"wall", "cpu", "flops",
-                                            "msgs_sent", "bytes_sent"}));
-}
-
-TEST(Gate, PhasesBelowTheFloorAreSkipped) {
-  // All values far below the absolute floors: a 10x blowup of pure
-  // noise must not trip the gate (machine-tolerance envelope).
-  RankMetrics tiny;
-  tiny.rank = 0;
-  tiny.counters["time.eval.grad.wall"] = 1e-6;
-  tiny.counters["flops.eval.grad"] = 100.0;
-  tiny.counters["comm.eval.grad.msgs_sent"] = 1.0;
-  tiny.counters["comm.eval.grad.bytes_sent"] = 32.0;
-  RankMetrics tiny10 = tiny;
-  for (auto& [name, v] : tiny10.counters) v *= 10.0;
-  const Json report = compare_summaries(summarize_metrics({tiny10}),
-                                        summarize_metrics({tiny}));
-  EXPECT_TRUE(report.at("ok").as_bool());
-  EXPECT_EQ(report.at("checked").as_int(), 0);
-}
-
-TEST(Gate, MissingPhaseIsAViolation) {
-  RankMetrics other;
-  other.rank = 0;
-  other.counters["time.eval.other.wall"] = 1.0;
-  const Json base = summarize_metrics({synth_rank(0, 1.0)});
-  const Json report = compare_summaries(summarize_metrics({other}), base);
-  EXPECT_FALSE(report.at("ok").as_bool());
-  ASSERT_EQ(report.at("violations").size(), 1u);
-  const Json& v = report.at("violations").items()[0];
-  EXPECT_EQ(v.at("phase").as_string(), "eval.uli");
-  EXPECT_EQ(v.at("metric").as_string(), "missing");
-}
-
-TEST(Gate, DifferentRankCountsAreNotComparable) {
-  const Json two = summarize_metrics({synth_rank(0, 1.0), synth_rank(1, 1.0)});
-  const Json one = summarize_metrics({synth_rank(0, 1.0)});
-  EXPECT_THROW(compare_summaries(two, one), CheckFailure);
-}
-
 // ------------------------------------------------- Table II int. test
 
 /// Table II-shaped integration check: a small nonuniform run at p=4
@@ -764,11 +699,6 @@ TEST(Integration, PaperPhasesAllReport) {
     EXPECT_GT(m.counters.at("coll.reduce_scatter.calls"), 0.0);
     EXPECT_GT(m.counters.at("coll.reduce_scatter.msgs"), 0.0);
     EXPECT_GT(m.counters.at("coll.allgatherv.calls"), 0.0);
-
-    // Message-size histogram saw the reduce-scatter traffic.
-    const auto hit = m.histograms.find("comm.msg_bytes.eval.comm");
-    ASSERT_NE(hit, m.histograms.end());
-    EXPECT_GT(hit->second.count(), 0u);
   }
 
   // The full snapshot set exports as schema-valid metrics JSON.
@@ -776,7 +706,7 @@ TEST(Integration, PaperPhasesAllReport) {
   for (const auto& rep : reports) ranks.push_back(rep.obs);
   const Json doc = metrics_to_json(ranks);
   validate_metrics_json(doc);
-  EXPECT_EQ(metrics_to_json(metrics_from_json(doc)), doc);
+  expect_metrics_json(doc, ranks);
 }
 
 /// The acceptance check for the cross-rank summary: the summary of a

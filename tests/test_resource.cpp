@@ -2,13 +2,15 @@
 /// the non-finite-number policy, the process peak-RSS read, run.v1
 /// record round-trips (new and old record shapes), and trend_analyze
 /// regression/warning semantics against synthetic bench trajectories,
-/// including the owner-memory warn gate.
+/// including which records are comparable references and the
+/// owner-memory warn gate.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -332,6 +334,126 @@ TEST(Trend, MissingPhaseIsARegression) {
   ASSERT_EQ(r.at("regressions").size(), 1u);
   EXPECT_EQ(r.at("regressions").items()[0].at("metric").as_string(),
             "missing");
+}
+
+/// `rec` with every hard metric of every phase multiplied by `k`.
+Json scaled(Json rec, double k) {
+  Json phases = Json::object();
+  for (const std::string& name : rec.at("phases").keys()) {
+    Json p = rec.at("phases").at(name);
+    for (const char* f : {"wall", "cpu", "flops", "msgs_sent", "bytes_sent"})
+      p.set(f, p.at(f).as_double() * k);
+    phases.set(name, p);
+  }
+  rec.set("phases", phases);
+  return rec;
+}
+
+/// `rec` with config key `key` set to `value`.
+Json with_config(Json rec, const std::string& key, const Json& value) {
+  Json config = rec.at("config");
+  config.set(key, value);
+  rec.set("config", config);
+  return rec;
+}
+
+TEST(Trend, InflatedRecordFailsAllFiveHardMetrics) {
+  // Everything doubled: wall/cpu blow the 1.6x time bound, flops/msgs/
+  // bytes blow the 1.25x work bound -> exactly five regressions.
+  std::vector<Json> hist;
+  for (int i = 0; i < 3; ++i) hist.push_back(make_record("base", 1.0, 2e6));
+  hist.push_back(scaled(make_record("slow", 1.0, 2e6), 2.0));
+  const Json r = trend_analyze(hist);
+  EXPECT_FALSE(r.at("ok").as_bool());
+  const auto& regressions = r.at("regressions").items();
+  ASSERT_EQ(regressions.size(), 5u);
+  std::map<std::string, double> limits;
+  for (const Json& f : regressions) {
+    EXPECT_EQ(f.at("phase").as_string(), "eval");
+    EXPECT_DOUBLE_EQ(f.at("ratio").as_double(), 2.0);
+    limits[f.at("metric").as_string()] = f.at("limit").as_double();
+  }
+  EXPECT_EQ(limits, (std::map<std::string, double>{{"wall", 1.6},
+                                                   {"cpu", 1.6},
+                                                   {"flops", 1.25},
+                                                   {"msgs_sent", 1.25},
+                                                   {"bytes_sent", 1.25}}));
+}
+
+TEST(Trend, IncomparableReferencesAreIgnored) {
+  // Three comparable references, then one from another rank count (or
+  // another config) whose values are a fifth of the rest. Were it a
+  // reference, the newest record would read as a 5x regression on
+  // every metric; it is skipped, and the window counts only the three.
+  const Json base = with_config(make_record("base", 1.0, 2e6), "dist",
+                                Json("ellipsoid"));
+  Json other_p = scaled(base, 0.2);
+  other_p.set("nranks", 8);
+  const Json other_dist = with_config(scaled(base, 0.2), "dist",
+                                      Json("uniform"));
+  for (const Json& odd : {other_p, other_dist}) {
+    const std::vector<Json> hist = {base, base, base, odd, base};
+    const Json r = trend_analyze(hist);
+    EXPECT_TRUE(r.at("ok").as_bool());
+    EXPECT_EQ(r.at("regressions").size(), 0u);
+    EXPECT_EQ(r.at("window").as_int(), 3);
+    EXPECT_EQ(r.at("references"),
+              Json::parse("[0, 1, 2]"));
+
+    // With a one-record window the reference is the newest comparable
+    // record, not the odd one just before the fresh record.
+    TrendOptions one;
+    one.window = 1;
+    const Json r1 = trend_analyze(hist, one);
+    EXPECT_TRUE(r1.at("ok").as_bool());
+    EXPECT_EQ(r1.at("references"), Json::parse("[2]"));
+  }
+  // Nothing comparable at all: nothing to gate against.
+  const Json none = trend_analyze({other_p, base});
+  EXPECT_TRUE(none.at("ok").as_bool());
+  EXPECT_EQ(none.at("window").as_int(), 0);
+  EXPECT_EQ(none.at("checked").as_int(), 0);
+}
+
+TEST(Trend, RecordWithAnExtraConfigKeyIsStillAReference) {
+  // Older records carry "exec_mode", newer ones "health": only the keys
+  // both carry are compared, so the old record still references the new
+  // one, and a 3x wall regression against it is caught.
+  Json old_rec = with_config(make_record("old", 1.0, 2e6), "p", Json(4));
+  old_rec = with_config(old_rec, "exec_mode", Json("bulk"));
+  Json fresh = with_config(make_record("new", 3.0, 2e6), "p", Json(4));
+  fresh = with_config(fresh, "health", Json(false));
+  const Json r = trend_analyze({old_rec, fresh});
+  EXPECT_EQ(r.at("window").as_int(), 1);
+  EXPECT_FALSE(r.at("ok").as_bool());
+  ASSERT_GE(r.at("regressions").size(), 1u);
+  EXPECT_EQ(r.at("regressions").items()[0].at("metric").as_string(), "wall");
+}
+
+TEST(Trend, PhaseTheNewestReferenceHasIsMissing) {
+  // Only the newest reference ran "eval.vli.mac"; the fresh record
+  // lacks it. The older references never had it, yet it is missing.
+  // "eval.old" was run only by the oldest reference and was already
+  // gone from the newest one, so losing it is not a regression.
+  auto with_phase = [](Json rec, const std::string& name) {
+    Json phases = rec.at("phases");
+    phases.set(name, rec.at("phases").at("eval"));
+    rec.set("phases", phases);
+    return rec;
+  };
+  std::vector<Json> hist;
+  hist.push_back(with_phase(make_record("oldest", 1.0, 2e6), "eval.old"));
+  for (int i = 0; i < 2; ++i) hist.push_back(make_record("base", 1.0, 2e6));
+  hist.push_back(with_phase(make_record("newest_ref", 1.0, 2e6),
+                            "eval.vli.mac"));
+  hist.push_back(make_record("fresh", 1.0, 2e6));
+  const Json r = trend_analyze(hist);
+  EXPECT_FALSE(r.at("ok").as_bool());
+  ASSERT_EQ(r.at("regressions").size(), 1u);
+  const Json& f = r.at("regressions").items()[0];
+  EXPECT_EQ(f.at("phase").as_string(), "eval.vli.mac");
+  EXPECT_EQ(f.at("metric").as_string(), "missing");
+  EXPECT_DOUBLE_EQ(f.at("reference").as_double(), 1.0);
 }
 
 TEST(Trend, FloorsSuppressNoiseOnTinyPhases) {

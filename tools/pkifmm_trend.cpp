@@ -4,7 +4,10 @@
 ///
 /// Records are grouped by bench name; within each group the newest
 /// record is compared against the median of the preceding --window
-/// records (obs::trend_analyze). Wall/cpu/flops/msgs/bytes regressions
+/// records that are comparable with it: same rank count, same value
+/// for every config key both carry (obs::trend_analyze). A phase the
+/// newest comparable record ran and the newest record lacks is a
+/// regression. Wall/cpu/flops/msgs/bytes regressions
 /// beyond the gate ratios are hard failures; blocked-recv wait time,
 /// owner memory (the record's "mem.owned" byte gauges) and sampled
 /// error only warn — they move with the scheduler, the thread count
@@ -13,7 +16,8 @@
 ///
 ///   pkifmm_trend --history=<BENCH_history.jsonl>
 ///       [--bench=<name>]      # analyze only this bench's records
-///       [--window=8]          # reference = median of last K records
+///       [--window=8]          # reference = median of last K
+///                             # comparable records
 ///       [--time-ratio=1.6] [--work-ratio=1.25]
 ///       [--mem-ratio=1.5]     # WARN bound per "mem.owned" key
 ///       [--err-ratio=4]       # WARN bound for the sampled relative
@@ -24,14 +28,14 @@
 ///       [--strict]            # promote wait/mem/health warnings to
 ///                             # hard failures (exit 1)
 ///
-/// Exit status: 0 = no regressions (including the first-run case of an
-/// empty history or a single record — nothing to gate against yet),
+/// Exit status: 0 = no regressions (including an empty history, a
+/// single record, or no earlier comparable record — nothing to gate
+/// against yet),
 /// 1 = regression detected, 2 = bad input (missing/unparseable
 /// history, unknown bench). --strict is for CI lanes pinned to one
 /// machine class, where those signals ARE comparable; --warn-only wins
 /// if both are given.
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -132,14 +136,16 @@ static int run(int argc, char** argv) {
     const std::vector<obs::Json>& recs = groups[bench];
     std::printf("bench %s: %zu record(s)\n", bench.c_str(), recs.size());
 
-    // Trajectory: the window the analysis actually references.
-    const std::size_t first =
-        recs.size() > static_cast<std::size_t>(opt.window) + 1
-            ? recs.size() - static_cast<std::size_t>(opt.window) - 1
-            : 0;
+    const obs::Json analysis = obs::trend_analyze(recs, opt);
+
+    // Trajectory: the references the analysis used, then the newest.
+    std::vector<std::size_t> rows;
+    for (const obs::Json& i : analysis.at("references").items())
+      rows.push_back(static_cast<std::size_t>(i.as_int()));
+    rows.push_back(recs.size() - 1);
     Table traj({"#", "git sha", "Wall (s)", "CPU (s)", "Flops",
                 "Peak RSS"});
-    for (std::size_t i = first; i < recs.size(); ++i) {
+    for (const std::size_t i : rows) {
       const obs::Json& r = recs[i];
       const double rss =
           r.contains("mem") && r.at("mem").contains("peak_rss_bytes")
@@ -153,16 +159,19 @@ static int run(int argc, char** argv) {
     }
     std::printf("%s", traj.str().c_str());
 
-    const obs::Json analysis = obs::trend_analyze(recs, opt);
     const bool ok = analysis.at("ok").as_bool();
     all_ok = all_ok && ok;
-    if (analysis.at("window").as_int() == 0) {
+    if (recs.size() == 1) {
       // A single record has no prior window — say so instead of the
       // baffling "median of 0 prior: OK (0 checks)".
       std::printf("only one record — no reference window to gate against "
                   "(first run): OK\n");
+    } else if (analysis.at("window").as_int() == 0) {
+      std::printf("no earlier record with the same rank count and config "
+                  "— no reference window to gate against: OK\n");
     } else {
-      std::printf("newest vs median of %lld prior: %s (%lld checks, "
+      std::printf("newest vs median of %lld comparable prior: %s (%lld "
+                  "checks, "
                   "%zu regression(s), %zu warning(s))\n",
                   static_cast<long long>(analysis.at("window").as_int()),
                   ok ? "OK" : "REGRESSION",
