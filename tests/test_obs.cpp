@@ -622,6 +622,43 @@ TEST(Aggregate, CommMatrixMarginalsMatchCounters) {
   }
 }
 
+// ------------------------------------------------- Regression gate
+
+/// Gate verdict on `fresh` against the single reference `base`, both
+/// summaries turned into run records the way the benches write them.
+Json gate(const Json& fresh, const Json& base) {
+  return trend_analyze(
+      {run_record_from_summary(base, "gate", "base", Json::object()),
+       run_record_from_summary(fresh, "gate", "fresh", Json::object())});
+}
+
+TEST(Gate, IdenticalSummariesPass) {
+  const Json base = summarize_metrics({synth_rank(0, 1.0), synth_rank(1, 1.0)});
+  const Json report = gate(base, base);
+  EXPECT_TRUE(report.at("ok").as_bool());
+  EXPECT_EQ(report.at("window").as_int(), 1);
+  EXPECT_GT(report.at("checked").as_int(), 0);
+  EXPECT_EQ(report.at("regressions").size(), 0u);
+}
+
+TEST(Gate, PhasesBelowTheFloorAreSkipped) {
+  // All values far below the absolute floors: a 10x blowup of pure
+  // noise must not trip the gate (machine-tolerance envelope).
+  RankMetrics tiny;
+  tiny.rank = 0;
+  tiny.counters["time.eval.grad.wall"] = 1e-6;
+  tiny.counters["flops.eval.grad"] = 100.0;
+  tiny.counters["comm.eval.grad.msgs_sent"] = 1.0;
+  tiny.counters["comm.eval.grad.bytes_sent"] = 32.0;
+  RankMetrics tiny10 = tiny;
+  for (auto& [name, v] : tiny10.counters) v *= 10.0;
+  const Json report =
+      gate(summarize_metrics({tiny10}), summarize_metrics({tiny}));
+  EXPECT_TRUE(report.at("ok").as_bool());
+  EXPECT_EQ(report.at("window").as_int(), 1);
+  EXPECT_EQ(report.at("checked").as_int(), 0);
+}
+
 // ------------------------------------------------- Table II int. test
 
 /// Table II-shaped integration check: a small nonuniform run at p=4
