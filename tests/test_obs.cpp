@@ -197,6 +197,7 @@ TEST(Export, FileRoundTrip) {
   const Json doc = read_json_file(path);
   std::remove(path.c_str());
   validate_metrics_json(doc);
+  EXPECT_EQ(doc, metrics_to_json(ranks));
   expect_metrics_json(doc, ranks);
 }
 
